@@ -94,8 +94,8 @@ pub fn choose_max_parallel_factor(point: &DesignPoint, estimator: &HlsEstimator)
 /// structural prefix the two share.
 pub fn choose_max_parallel_factor_with(plan: &EstimatePlan, point: &DesignPoint) -> usize {
     let estimator = plan.estimator();
-    let fits_at = |pf: usize| -> bool {
-        let mut probe = point.clone();
+    let mut probe = point.clone();
+    let mut fits_at = |pf: usize| -> bool {
         probe.parallel_factor = pf;
         plan.probe(&probe)
             .map(|est| estimator.fits(&est))
@@ -176,14 +176,20 @@ pub fn scd_search_with_activation(
     };
     point.parallel_factor = choose_max_parallel_factor_with(&plan, &point);
 
-    // One cached probe per priced point, exactly like the old
-    // `estimate_point`-per-probe loop; `plan.commit` (accepted moves
-    // only) recomputes incrementally without touching the cache.
+    // One logical cache lookup per priced point, exactly like the old
+    // `estimate_point`-per-probe loop; `plan.commit_probed` (accepted
+    // moves only) adopts the probe's result without touching the cache.
     let Ok(mut est) = plan.probe(&point) else {
         return candidates;
     };
     plan.commit_probed(&point, est);
     let mut lat = est.latency_ms(cfg.clock_mhz);
+
+    // Every move is re-derived into this scratch point (`clone_from`
+    // reuses its buffers) and swapped in when accepted, so the loop
+    // does not allocate per probe.
+    let mut moved = point.clone();
+    let mut deltas: Vec<(MoveCoord, isize, f64)> = Vec::with_capacity(3);
 
     for _iter in 0..cfg.max_iterations {
         if candidates.len() >= cfg.candidates {
@@ -191,16 +197,16 @@ pub fn scd_search_with_activation(
         }
         let gap = cfg.latency_target_ms - lat;
         if gap.abs() < cfg.tolerance_ms && estimator.fits(&est) {
-            let dnn = builder.build(&point).expect("estimated points build");
-            let accuracy = model.estimate(&point, &dnn);
-            let candidate = Candidate {
-                point: point.clone(),
-                estimate: est,
-                latency_ms: lat,
-                accuracy,
-            };
-            if seen.insert(candidate.point.canonical_key()) {
-                candidates.push(candidate);
+            // Dedupe before elaborating: most in-window iterations
+            // revisit a design already collected.
+            if seen.insert(point.canonical_key()) {
+                let dnn = builder.build(&point).expect("estimated points build");
+                candidates.push(Candidate {
+                    accuracy: model.estimate(&point, &dnn),
+                    point: point.clone(),
+                    estimate: est,
+                    latency_ms: lat,
+                });
             }
             // Perturb to hunt for the next distinct candidate.
             let coord = match rng.random_range(0..3u8) {
@@ -209,10 +215,11 @@ pub fn scd_search_with_activation(
                 _ => MoveCoord::Downsampling,
             };
             let dir = if rng.random_bool(0.5) { 1 } else { -1 };
-            let perturbed = coord.applied(&point, dir);
-            if let Ok(e2) = plan.probe(&perturbed) {
-                plan.commit_probed(&perturbed, e2);
-                point = perturbed;
+            moved.clone_from(&point);
+            coord.apply(&mut moved, dir);
+            if let Ok(e2) = plan.probe(&moved) {
+                plan.commit_probed(&moved, e2);
+                std::mem::swap(&mut point, &mut moved);
                 est = e2;
                 lat = e2.latency_ms(cfg.clock_mhz);
             }
@@ -229,9 +236,10 @@ pub fn scd_search_with_activation(
             (MoveCoord::Expansion, unit),
             (MoveCoord::Downsampling, -unit),
         ];
-        let mut deltas: Vec<(MoveCoord, isize, f64)> = Vec::with_capacity(3);
+        deltas.clear();
         for &(coord, dir) in &coords {
-            let moved = coord.applied(&point, dir);
+            moved.clone_from(&point);
+            coord.apply(&mut moved, dir);
             if moved == point {
                 continue; // saturated coordinate
             }
@@ -247,13 +255,10 @@ pub fn scd_search_with_activation(
             let n = rng.random_range(1..=6);
             point = DesignPoint::initial(bundle.clone(), n);
             point.activation = activation;
-            // Rebase the plan on the restart structure first (no cache
-            // interaction), so the PF-ladder rungs below are pure
-            // term repricings instead of re-elaborating the structural
-            // diff on every probe. On a (theoretical) unelaborable
-            // restart the plan keeps its old base and the ladder falls
-            // back to diff-probing, matching the old error behavior.
-            let _ = plan.commit(&point);
+            // The plan rebases lazily: restarts land on one of six
+            // initial designs, so the PF-ladder rungs below mostly hit
+            // the plan's memo, and a rare miss stages against the
+            // lagging slot base (bit-identical by contract).
             point.parallel_factor = choose_max_parallel_factor_with(&plan, &point);
             if let Ok(e2) = plan.probe(&point) {
                 plan.commit_probed(&point, e2);
@@ -267,11 +272,12 @@ pub fn scd_search_with_activation(
         // SCD) and scale the move: Δ = ⌊|Lat_targ − Lat| / ΔLat⌋.
         let (coord, dir, dlat) = deltas[rng.random_range(0..deltas.len())];
         let steps = ((gap.abs() / dlat.abs()).floor() as isize).clamp(1, 4);
-        let proposed = coord.applied(&point, dir * steps);
-        if let Ok(e2) = plan.probe(&proposed) {
+        moved.clone_from(&point);
+        coord.apply(&mut moved, dir * steps);
+        if let Ok(e2) = plan.probe(&moved) {
             if estimator.fits(&e2) || e2.resources.dsp <= est.resources.dsp {
-                plan.commit_probed(&proposed, e2);
-                point = proposed;
+                plan.commit_probed(&moved, e2);
+                std::mem::swap(&mut point, &mut moved);
                 est = e2;
                 lat = e2.latency_ms(cfg.clock_mhz);
             }
@@ -321,19 +327,20 @@ pub fn random_search(
         };
         let lat = est.latency_ms(cfg.clock_mhz);
         if (cfg.latency_target_ms - lat).abs() < cfg.tolerance_ms && estimator.fits(&est) {
+            let key = point.canonical_key();
+            if seen.contains(&key) {
+                continue;
+            }
             let Ok(dnn) = builder.build(&point) else {
                 continue;
             };
-            let accuracy = model.estimate(&point, &dnn);
-            let candidate = Candidate {
+            seen.insert(key);
+            candidates.push(Candidate {
+                accuracy: model.estimate(&point, &dnn),
                 point,
                 estimate: est,
                 latency_ms: lat,
-                accuracy,
-            };
-            if seen.insert(candidate.point.canonical_key()) {
-                candidates.push(candidate);
-            }
+            });
         }
     }
     (candidates, evaluations)

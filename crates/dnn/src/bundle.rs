@@ -96,10 +96,25 @@ impl fmt::Display for SkeletonOp {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Bundle {
     id: BundleId,
     ops: Vec<SkeletonOp>,
+}
+
+impl Clone for Bundle {
+    fn clone(&self) -> Self {
+        Self {
+            id: self.id,
+            ops: self.ops.clone(),
+        }
+    }
+
+    /// Reuses `self`'s skeleton buffer (see `DesignPoint::clone_from`).
+    fn clone_from(&mut self, source: &Self) {
+        self.id = source.id;
+        self.ops.clone_from(&source.ops);
+    }
 }
 
 impl Bundle {

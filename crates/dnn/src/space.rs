@@ -49,7 +49,7 @@ pub fn is_legal_parallel_factor(pf: usize) -> bool {
 /// assert_eq!(p.replications(), 3);
 /// assert_eq!(p.channel_expansion().len(), 3);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
 pub struct DesignPoint {
     /// The Bundle replicated to build the DNN.
     pub bundle: Bundle,
@@ -72,6 +72,34 @@ pub struct DesignPoint {
     /// Upper bound on channel width anywhere in the DNN (e.g. 512 for
     /// DNN1 in Fig. 6). Expansion saturates at this cap.
     pub max_channels: usize,
+}
+
+impl Clone for DesignPoint {
+    fn clone(&self) -> Self {
+        Self {
+            bundle: self.bundle.clone(),
+            n_replications: self.n_replications,
+            downsample: self.downsample.clone(),
+            expansion: self.expansion.clone(),
+            parallel_factor: self.parallel_factor,
+            activation: self.activation,
+            base_channels: self.base_channels,
+            max_channels: self.max_channels,
+        }
+    }
+
+    /// Field-wise, reusing `self`'s vectors: the SCD loop re-derives
+    /// its probe points into one scratch point, allocation-free.
+    fn clone_from(&mut self, source: &Self) {
+        self.bundle.clone_from(&source.bundle);
+        self.n_replications = source.n_replications;
+        self.downsample.clone_from(&source.downsample);
+        self.expansion.clone_from(&source.expansion);
+        self.parallel_factor = source.parallel_factor;
+        self.activation = source.activation;
+        self.base_channels = source.base_channels;
+        self.max_channels = source.max_channels;
+    }
 }
 
 impl DesignPoint {
@@ -268,12 +296,17 @@ impl DesignPoint {
     /// (saturating at 1 below), resizing the `X` and `Π` vectors to
     /// match. New entries default to no down-sampling and no expansion.
     pub fn with_replication_delta(&self, delta: isize) -> Self {
-        let n = (self.n_replications as isize + delta).max(1) as usize;
         let mut out = self.clone();
-        out.n_replications = n;
-        out.downsample.resize(n, false);
-        out.expansion.resize(n, 1.0);
+        out.apply_replication_delta(delta);
         out
+    }
+
+    /// In-place [`with_replication_delta`](Self::with_replication_delta).
+    pub fn apply_replication_delta(&mut self, delta: isize) {
+        let n = (self.n_replications as isize + delta).max(1) as usize;
+        self.n_replications = n;
+        self.downsample.resize(n, false);
+        self.expansion.resize(n, 1.0);
     }
 
     /// Returns a copy with the expansion vector moved `delta` steps
@@ -283,27 +316,32 @@ impl DesignPoint {
     /// never modified.
     pub fn with_expansion_delta(&self, delta: isize) -> Self {
         let mut out = self.clone();
+        out.apply_expansion_delta(delta);
+        out
+    }
+
+    /// In-place [`with_expansion_delta`](Self::with_expansion_delta).
+    pub fn apply_expansion_delta(&mut self, delta: isize) {
         let steps = delta.unsigned_abs();
         for _ in 0..steps {
             if delta > 0 {
-                if let Some(slot) = out
+                if let Some(slot) = self
                     .expansion
                     .iter()
                     .skip(1)
                     .position(|&f| f < 2.0 - 1e-9)
                     .map(|p| p + 1)
                 {
-                    out.expansion[slot] = next_factor_up(out.expansion[slot]);
+                    self.expansion[slot] = next_factor_up(self.expansion[slot]);
                 } else {
                     break;
                 }
-            } else if let Some(slot) = out.expansion.iter().rposition(|&f| f > 1.0 + 1e-9) {
-                out.expansion[slot] = next_factor_down(out.expansion[slot]);
+            } else if let Some(slot) = self.expansion.iter().rposition(|&f| f > 1.0 + 1e-9) {
+                self.expansion[slot] = next_factor_down(self.expansion[slot]);
             } else {
                 break;
             }
         }
-        out
     }
 
     /// Returns a copy with the down-sampling vector moved `delta` steps:
@@ -312,21 +350,26 @@ impl DesignPoint {
     /// and therefore latency.
     pub fn with_downsample_delta(&self, delta: isize) -> Self {
         let mut out = self.clone();
+        out.apply_downsample_delta(delta);
+        out
+    }
+
+    /// In-place [`with_downsample_delta`](Self::with_downsample_delta).
+    pub fn apply_downsample_delta(&mut self, delta: isize) {
         let steps = delta.unsigned_abs();
         for _ in 0..steps {
             if delta > 0 {
-                if let Some(slot) = out.downsample.iter().position(|&d| !d) {
-                    out.downsample[slot] = true;
+                if let Some(slot) = self.downsample.iter().position(|&d| !d) {
+                    self.downsample[slot] = true;
                 } else {
                     break;
                 }
-            } else if let Some(slot) = out.downsample.iter().rposition(|&d| d) {
-                out.downsample[slot] = false;
+            } else if let Some(slot) = self.downsample.iter().rposition(|&d| d) {
+                self.downsample[slot] = false;
             } else {
                 break;
             }
         }
-        out
     }
 }
 
@@ -369,6 +412,18 @@ mod tests {
 
     fn point() -> DesignPoint {
         DesignPoint::initial(bundle_by_id(BundleId(13)).unwrap(), 4)
+    }
+
+    #[test]
+    fn clone_from_overwrites_every_field() {
+        let mut scratch = DesignPoint::initial(bundle_by_id(BundleId(1)).unwrap(), 6);
+        scratch.activation = Activation::Relu8;
+        scratch.parallel_factor = 64;
+        scratch.base_channels = 16;
+        scratch.max_channels = 256;
+        let p = point();
+        scratch.clone_from(&p);
+        assert_eq!(scratch, p);
     }
 
     #[test]

@@ -11,11 +11,22 @@
 //! [`EstimatePlan::probe`](crate::incremental::EstimatePlan::probe))
 //! behind an [`std::sync::Arc`]-shareable, thread-safe map.
 //!
+//! # Logical lookups
+//!
+//! The counters count *logical* lookups: one per `estimate_point` and
+//! one per plan probe. A plan answers repeat probes from its own
+//! search-local memo of earlier lookups (see
+//! [the incremental module](crate::incremental#the-probe-memo)) and
+//! reports each such answer through [`EstimateCache::record_hit`], so
+//! only a search's first probe of a key reaches the map, while hits,
+//! misses and [`EstimateCache::store_hits`] read exactly as if every
+//! probe had.
+//!
 //! # Sharding
 //!
-//! The flow fans SCD work items out across worker threads, and every
-//! probe consults this cache; a single global `Mutex<HashMap>` would
-//! serialize them all. The map is therefore split into
+//! The flow fans SCD work items out across worker threads, and each
+//! search's first probe of a key consults this map; a single global
+//! `Mutex<HashMap>` would serialize them all. The map is therefore split into
 //! [`DEFAULT_SHARDS`] independently locked shards, selected by a fast
 //! word-wise multiply-mix over the key bytes. Sharding is invisible to callers: a
 //! key lives in exactly one shard, so hit/miss semantics, the
@@ -278,29 +289,54 @@ impl EstimateCache {
         key: &[u8],
         compute: impl FnOnce() -> Result<Estimate, EstimateError>,
     ) -> Result<Estimate, EstimateError> {
+        self.get_or_insert_with_provenance(key, compute).0
+    }
+
+    /// [`get_or_insert_with`](Self::get_or_insert_with), also returning
+    /// whether the resident entry was [`preload`](Self::preload)ed. A
+    /// caller that memoizes the result replays later hits on it through
+    /// [`record_hit`](Self::record_hit) with this flag.
+    pub fn get_or_insert_with_provenance(
+        &self,
+        key: &[u8],
+        compute: impl FnOnce() -> Result<Estimate, EstimateError>,
+    ) -> (Result<Estimate, EstimateError>, bool) {
         if let Some(cached) = self
             .shard_for(key)
             .lock()
             .expect("cache shard lock")
             .get(key)
         {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            if cached.preloaded {
-                self.store_hits.fetch_add(1, Ordering::Relaxed);
-            }
-            return cached.value.clone();
+            self.record_hit(cached.preloaded);
+            return (cached.value.clone(), cached.preloaded);
         }
         let value = compute();
         self.misses.fetch_add(1, Ordering::Relaxed);
-        self.shard_for(key)
+        let preloaded = self
+            .shard_for(key)
             .lock()
             .expect("cache shard lock")
             .entry(key.to_vec())
             .or_insert_with(|| CacheEntry {
                 value: value.clone(),
                 preloaded: false,
-            });
-        value
+            })
+            .preloaded;
+        (value, preloaded)
+    }
+
+    /// Counts one hit on a resident entry without touching the map: the
+    /// accounting half of a lookup whose value a caller served from its
+    /// own memo of earlier lookups. `preloaded` is the entry's flag as
+    /// returned by
+    /// [`get_or_insert_with_provenance`](Self::get_or_insert_with_provenance),
+    /// so [`store_hits`](Self::store_hits) stays what the shared lookup
+    /// would have counted.
+    pub fn record_hit(&self, preloaded: bool) {
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        if preloaded {
+            self.store_hits.fetch_add(1, Ordering::Relaxed);
+        }
     }
 }
 

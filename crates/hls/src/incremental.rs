@@ -24,9 +24,9 @@
 //!    shape-dependent downstream slots are re-elaborated. A
 //!    parallel-factor change re-derives the terms of every slot but
 //!    reuses the elaborated structure (PF never changes layer shapes).
-//!    When the estimator carries an
-//!    [`EstimateCache`](crate::cache::EstimateCache), each probe is one
-//!    memoized lookup, exactly like `estimate_point`.
+//!    When the estimator carries an [`EstimateCache`], each probe
+//!    counts as one *logical* lookup on it, exactly like
+//!    `estimate_point` — see [The probe memo](#the-probe-memo).
 //! 3. [`EstimatePlan::commit`] / [`EstimatePlan::apply_move`] re-stage a
 //!    target the same way and make it the plan's new base point (no
 //!    cache interaction — the caller usually just probed the target).
@@ -45,8 +45,28 @@
 //! probe, so bit-identity costs nothing measurable. The
 //! `incremental_equivalence` proptest pins this contract over random
 //! coordinate walks.
+//!
+//! # The probe memo
+//!
+//! An SCD run re-probes the same few points over and over (PF-ladder
+//! rungs after every restart, the neighbors of a design it oscillates
+//! around), and each shared-cache hit costs a salted key encode, a
+//! shard hash, a `Mutex` and a SipHash. A plan is owned by one search
+//! on one thread, so it keeps a lock-free memo in front of the shared
+//! cache, keyed by the target's
+//! [`encode_canonical`](codesign_dnn::space::DesignPoint::encode_canonical)
+//! words (the estimator salt is fixed for the plan's lifetime) under a
+//! cheap word-mixing hasher. The memo is filled only from shared-cache
+//! lookups, so it holds a subset of the shared entries, and each memo
+//! hit is counted on the shared cache as the hit the shared lookup
+//! would have been ([`EstimateCache::record_hit`], with the entry's
+//! store provenance). Hits, misses, store hits and the deterministic
+//! total-lookup count are therefore exactly those of probing the shared
+//! cache every time. The memo is dropped with the plan, at the end of
+//! each search; it assumes the shared cache is not
+//! [`clear`](EstimateCache::clear)ed while the plan lives.
 
-use crate::cache::KeyBuf;
+use crate::cache::{EstimateCache, KeyBuf};
 use crate::calibrate::CalibratedParams;
 use crate::model::{Estimate, EstimateError, HlsEstimator};
 use codesign_dnn::space::DesignPoint;
@@ -55,6 +75,9 @@ use codesign_sim::device::FpgaDevice;
 use codesign_sim::ip::{IpKind, INVOCATION_OVERHEAD};
 use codesign_sim::pipeline::{bram_blocks, control_overhead, tile_buffer_blocks, AccelConfig};
 use codesign_sim::report::ResourceUsage;
+use std::cell::RefCell;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 /// The three DNN-side coordinates the SCD unit moves along (Table 1's
@@ -74,10 +97,17 @@ impl MoveCoord {
     /// coordinate (saturating at the coordinate's domain bounds, like
     /// the `DesignPoint::with_*_delta` moves it delegates to).
     pub fn applied(&self, point: &DesignPoint, steps: isize) -> DesignPoint {
+        let mut moved = point.clone();
+        self.apply(&mut moved, steps);
+        moved
+    }
+
+    /// In-place [`applied`](Self::applied).
+    pub fn apply(&self, point: &mut DesignPoint, steps: isize) {
         match self {
-            MoveCoord::Replications => point.with_replication_delta(steps),
-            MoveCoord::Expansion => point.with_expansion_delta(steps),
-            MoveCoord::Downsampling => point.with_downsample_delta(steps),
+            MoveCoord::Replications => point.apply_replication_delta(steps),
+            MoveCoord::Expansion => point.apply_expansion_delta(steps),
+            MoveCoord::Downsampling => point.apply_downsample_delta(steps),
         }
     }
 }
@@ -273,6 +303,71 @@ impl Slot {
     }
 }
 
+/// A multiply-xorshift hasher over whole words. Memo keys are canonical
+/// design-point words, so the memo needs spread, not SipHash's
+/// flooding resistance.
+#[derive(Debug, Default)]
+struct WordHasher(u64);
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.write_u64(u64::from_ne_bytes(word.try_into().expect("8-byte chunk")));
+        }
+        for &byte in words.remainder() {
+            self.write_u64(u64::from(byte));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0 ^ word).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 ^= self.0 >> 29;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A memoized shared-cache result plus the entry's store provenance.
+type MemoEntry = (Result<Estimate, EstimateError>, bool);
+
+/// The plan's search-local memo of shared-cache lookups (see the module
+/// docs), with a reusable buffer for the probed point's key words.
+#[derive(Debug, Clone, Default)]
+struct ProbeMemo {
+    words: Vec<u64>,
+    entries: HashMap<Box<[u64]>, MemoEntry, BuildHasherDefault<WordHasher>>,
+}
+
+impl ProbeMemo {
+    /// The memoized lookup of `target` on `estimator`'s `cache`: a memo
+    /// hit counts one logical hit on `cache`; a memo miss performs the
+    /// shared lookup (running `compute` on a shared miss) and remembers
+    /// its result.
+    fn lookup(
+        &mut self,
+        estimator: &HlsEstimator,
+        cache: &EstimateCache,
+        target: &DesignPoint,
+        compute: impl FnOnce() -> Result<Estimate, EstimateError>,
+    ) -> Result<Estimate, EstimateError> {
+        self.words.clear();
+        target.encode_canonical(&mut |w| self.words.push(w));
+        if let Some((value, preloaded)) = self.entries.get(self.words.as_slice()) {
+            cache.record_hit(*preloaded);
+            return value.clone();
+        }
+        let mut key = KeyBuf::new();
+        estimator.write_key(target, &mut key);
+        let (value, preloaded) = cache.get_or_insert_with_provenance(key.as_bytes(), compute);
+        self.entries
+            .insert(self.words.as_slice().into(), (value.clone(), preloaded));
+        value
+    }
+}
+
 /// A staged (not yet committed) re-estimation of a target point. The
 /// slot list is absolute — it fully describes the staged point, not a
 /// delta — so a memoized `Staged` stays valid no matter how the plan
@@ -334,7 +429,9 @@ pub struct EstimatePlan {
     /// The most recent stage computed by a probe miss, kept so a
     /// following commit of the same target is free. Interior-mutable
     /// because probing is logically `&self`.
-    staged: std::cell::RefCell<Option<(DesignPoint, Staged)>>,
+    staged: RefCell<Option<(DesignPoint, Staged)>>,
+    /// Shared-cache results this plan has already looked up.
+    memo: RefCell<ProbeMemo>,
 }
 
 impl EstimatePlan {
@@ -359,7 +456,8 @@ impl EstimatePlan {
             slots_point: point.clone(),
             cfg: AccelConfig::new(point.parallel_factor, point.quantization()),
             slots: Vec::new(),
-            staged: std::cell::RefCell::new(None),
+            staged: RefCell::new(None),
+            memo: RefCell::new(ProbeMemo::default()),
         };
         let staged = plan.stage(point)?;
         plan.adopt(point, staged);
@@ -371,8 +469,8 @@ impl EstimatePlan {
         self.cfg = staged.cfg;
         self.slots = staged.slots;
         self.estimate = staged.estimate;
-        self.point = target.clone();
-        self.slots_point = target.clone();
+        self.point.clone_from(target);
+        self.slots_point.clone_from(target);
     }
 
     /// The plan's current base point.
@@ -393,11 +491,12 @@ impl EstimatePlan {
     /// Estimates `target` without committing to it, reusing every slot
     /// the difference from the base point does not touch.
     ///
-    /// When the estimator carries a cache this is **one memoized
+    /// When the estimator carries a cache this is **one logical
     /// lookup** under the same canonical key `estimate_point` would use
     /// — probe-for-probe parity keeps the flow's deterministic
-    /// total-lookup count intact — and the incremental fold runs only
-    /// on a miss.
+    /// total-lookup count intact. Repeat probes are answered by the
+    /// plan's memo, a first probe by the shared cache, and the
+    /// incremental fold runs only on a shared miss.
     ///
     /// # Errors
     ///
@@ -405,27 +504,18 @@ impl EstimatePlan {
     /// are cached under the same key, like `estimate_point`'s).
     pub fn probe(&self, target: &DesignPoint) -> Result<Estimate, EstimateError> {
         let mut fresh: Option<Staged> = None;
+        let mut compute = || {
+            let staged = self.stage(target)?;
+            let estimate = staged.estimate;
+            fresh = Some(staged);
+            Ok(estimate)
+        };
         let result = match self.estimator.cache() {
-            Some(cache) => {
-                let mut key = KeyBuf::new();
-                self.estimator.write_key(target, &mut key);
-                cache.get_or_insert_with(key.as_bytes(), || match self.stage(target) {
-                    Ok(staged) => {
-                        let estimate = staged.estimate;
-                        fresh = Some(staged);
-                        Ok(estimate)
-                    }
-                    Err(e) => Err(e),
-                })
-            }
-            None => match self.stage(target) {
-                Ok(staged) => {
-                    let estimate = staged.estimate;
-                    fresh = Some(staged);
-                    Ok(estimate)
-                }
-                Err(e) => Err(e),
-            },
+            Some(cache) => self
+                .memo
+                .borrow_mut()
+                .lookup(&self.estimator, cache, target, compute),
+            None => compute(),
         };
         if let Some(staged) = fresh {
             // Remember the stage so a commit of this target is free.
@@ -468,7 +558,7 @@ impl EstimatePlan {
             debug_assert_eq!(staged.estimate, estimate, "probe/stage disagree");
             self.adopt(target, staged);
         } else {
-            self.point = target.clone();
+            self.point.clone_from(target);
         }
         self.estimate = estimate;
     }
@@ -773,5 +863,45 @@ mod tests {
         // estimate_point shares the same key space.
         est.estimate_point(&target).unwrap();
         assert_eq!(cache.stats().hits, 2);
+    }
+
+    #[test]
+    fn memo_hits_count_as_store_hits_on_preloaded_entries() {
+        let cache = Arc::new(EstimateCache::new());
+        let est = estimator_for(13).with_cache(Arc::clone(&cache));
+        let b = bundle_by_id(BundleId(13)).unwrap();
+        let point = DesignPoint::initial(b, 3);
+        let target = point.with_expansion_delta(1);
+        let mut key = KeyBuf::new();
+        est.write_key(&target, &mut key);
+        let value = estimator_for(13).estimate_point(&target).unwrap();
+        assert!(cache.preload(key.as_bytes(), value));
+
+        let plan = EstimatePlan::new(&est, &point).unwrap();
+        // The first probe is a shared hit, the second a memo hit; both
+        // count exactly as two shared hits on a preloaded entry would.
+        assert_eq!(plan.probe(&target).unwrap(), value);
+        assert_eq!(plan.probe(&target).unwrap(), value);
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses), (2, 0));
+        assert_eq!(cache.store_hits(), 2);
+    }
+
+    #[test]
+    fn memo_replays_cached_errors_as_logical_lookups() {
+        let cache = Arc::new(EstimateCache::new());
+        let est = estimator_for(1).with_cache(Arc::clone(&cache));
+        let b = bundle_by_id(BundleId(1)).unwrap();
+        let point = DesignPoint::initial(b, 3);
+        let plan = EstimatePlan::new(&est, &point).unwrap();
+        let mut bad = point.clone();
+        bad.parallel_factor = 3; // illegal rung
+        let first = plan.probe(&bad).unwrap_err();
+        let second = plan.probe(&bad).unwrap_err();
+        assert_eq!(first, second);
+        let stats = cache.stats();
+        assert_eq!(stats.total(), 2);
+        assert_eq!((stats.hits, stats.misses), (1, 1));
+        assert_eq!(cache.store_hits(), 0);
     }
 }

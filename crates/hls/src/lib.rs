@@ -15,7 +15,8 @@
 //! * [`incremental`] — the incremental estimation engine: an
 //!   [`incremental::EstimatePlan`] elaborates a design point once into
 //!   per-pipeline-group terms and re-derives only what an SCD move
-//!   touched, bit-identical to the full model.
+//!   touched, bit-identical to the full model, and memoizes its
+//!   shared-cache lookups for the lifetime of one search.
 //! * [`calibrate`] — determines the model coefficients α, β, Γ, φ, γ per
 //!   Bundle by *Auto-HLS sampling*: a handful of sample designs are run
 //!   through the Tile-Arch simulator (the stand-in for HLS synthesis +

@@ -9,6 +9,7 @@
 use codesign_dnn::bundle::{bundle_by_id, BundleId};
 use codesign_dnn::quant::Activation;
 use codesign_dnn::space::{DesignPoint, MAX_PARALLEL_FACTOR, PARALLEL_FACTOR_STEP};
+use codesign_hls::cache::EstimateCache;
 use codesign_hls::calibrate::calibrate_bundle;
 use codesign_hls::incremental::EstimatePlan;
 use codesign_hls::model::HlsEstimator;
@@ -16,6 +17,12 @@ use codesign_sim::device::pynq_z1;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
+
+/// A random legal parallel-factor rung.
+fn random_rung(rng: &mut StdRng) -> usize {
+    PARALLEL_FACTOR_STEP * rng.random_range(1usize..=MAX_PARALLEL_FACTOR / PARALLEL_FACTOR_STEP)
+}
 
 /// One random step away from `point`: a unit-or-multi move along one of
 /// the three SCD coordinates, a parallel-factor rung change, a combined
@@ -28,8 +35,7 @@ fn random_target(rng: &mut StdRng, point: &DesignPoint, bundle_id: usize) -> Des
         2 => point.with_downsample_delta(rng.random_range(-2isize..=2)),
         3 => {
             let mut p = point.clone();
-            let rungs = MAX_PARALLEL_FACTOR / PARALLEL_FACTOR_STEP;
-            p.parallel_factor = PARALLEL_FACTOR_STEP * rng.random_range(1usize..=rungs);
+            p.parallel_factor = random_rung(rng);
             p
         }
         4 => {
@@ -75,6 +81,54 @@ proptest! {
                 let committed = plan.commit(&target);
                 prop_assert_eq!(committed, full);
                 point = target;
+            }
+        }
+    }
+
+    /// SCD's restart path: jumps to `DesignPoint::initial(b, n)` at
+    /// random PF rungs are probed through a cached plan *without*
+    /// rebasing it first, and accepted moves use the free
+    /// `commit_probed`, which leaves the slot base lagging after every
+    /// cache or memo hit. Each probe — a memo hit, a shared hit, or a
+    /// miss staged against the lagging base — must match a full rebuild.
+    #[test]
+    fn prop_lagging_base_jumps_are_bit_identical_to_full_rebuild(
+        bundle_id in 1usize..=18,
+        seed in 0u64..u64::MAX / 2,
+        walk_len in 8usize..32,
+    ) {
+        let bundle = bundle_by_id(BundleId(bundle_id)).unwrap();
+        let params = calibrate_bundle(&bundle, &pynq_z1()).unwrap();
+        let estimator = HlsEstimator::new(params, pynq_z1());
+        let cached = estimator.clone().with_cache(Arc::new(EstimateCache::new()));
+        let mut rng = StdRng::seed_from_u64(seed);
+
+        let mut point = DesignPoint::initial(bundle.clone(), rng.random_range(1usize..=5));
+        point.activation = Activation::ALL[rng.random_range(0usize..3)];
+        let mut plan = EstimatePlan::new(&cached, &point).unwrap();
+        let mut probed: Vec<DesignPoint> = Vec::new();
+
+        for _step in 0..walk_len {
+            let target = match rng.random_range(0..5u8) {
+                0 | 1 => {
+                    let mut p = DesignPoint::initial(bundle.clone(), rng.random_range(1usize..=6));
+                    p.activation = point.activation;
+                    p.parallel_factor = random_rung(&mut rng);
+                    p
+                }
+                // Revisit an earlier probe: a memo hit, and committing
+                // it leaves the slot base behind.
+                2 if !probed.is_empty() => probed[rng.random_range(0..probed.len())].clone(),
+                _ => random_target(&mut rng, plan.point(), bundle_id),
+            };
+            probed.push(target.clone());
+            let full = estimator.estimate_point(&target);
+            prop_assert_eq!(&plan.probe(&target), &full);
+            if let Ok(estimate) = full {
+                if rng.random_bool(0.3) {
+                    plan.commit_probed(&target, estimate);
+                    prop_assert_eq!(plan.estimate(), estimate);
+                }
             }
         }
     }

@@ -216,6 +216,12 @@ fn client_errors_get_client_status_codes() {
     assert_eq!(status, 400);
     assert!(body.contains("targets_fps"), "{body}");
 
+    // ~10^6 nested `[` fits under the body cap; it must be a 400, not a
+    // stack overflow that kills the server.
+    let (status, body) = client.post("/jobs", &"[".repeat(1_000_000)).unwrap();
+    assert_eq!(status, 400);
+    assert!(body.contains("nesting deeper than"), "{body}");
+
     let (status, _) = client.get("/jobs/999").unwrap();
     assert_eq!(status, 404);
 
