@@ -20,7 +20,7 @@ use crate::accuracy::AccuracyModel;
 use codesign_dnn::builder::DnnBuilder;
 use codesign_dnn::bundle::Bundle;
 use codesign_dnn::space::{DesignPoint, MAX_PARALLEL_FACTOR, PARALLEL_FACTOR_STEP};
-use codesign_hls::incremental::{EstimatePlan, MoveCoord};
+use codesign_hls::incremental::{EstimatePlan, LookupTally, MoveCoord};
 use codesign_hls::model::{Estimate, HlsEstimator};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -142,6 +142,20 @@ pub fn scd_search(
     )
 }
 
+/// Deepest restart landing: a stuck search restarts from
+/// `DesignPoint::initial(bundle, n)` with `n` drawn from `1..=6`.
+const MAX_RESTART_DEPTH: usize = 6;
+
+/// Where a restart to depth `n` landed, recorded the first time the
+/// search restarts there: the point with its maximal PF, the probe of
+/// that point, and the cache lookups the PF ladder and probe counted.
+#[derive(Debug)]
+struct Landing {
+    point: DesignPoint,
+    estimate: Option<Estimate>,
+    tally: LookupTally,
+}
+
 /// Runs the SCD unit with an explicit activation / quantization arm
 /// (the co-design variable `Q` of Table 1).
 ///
@@ -151,6 +165,17 @@ pub fn scd_search(
 /// bit-identical to the full model (so results — and, estimator cache
 /// attached, the deterministic lookup count — are unchanged from the
 /// rebuild-per-probe implementation).
+///
+/// Restarts are replayed. A stuck search restarts from
+/// `DesignPoint::initial(bundle, n)` with `n` in `1..=6`, so within one
+/// search the landing (PF-ladder choice and probe) depends only on the
+/// depth. The first restart to a depth runs the ladder and records its
+/// landing; a repeat takes the recorded point and estimate, and counts
+/// the recorded [`LookupTally`] on the cache through
+/// [`EstimateCache::record_hits`](codesign_hls::cache::EstimateCache::record_hits).
+/// Re-running the ladder would answer every probe from the plan's memo,
+/// so it would count exactly those hits: the lookup totals, hits and
+/// store hits are unchanged.
 pub fn scd_search_with_activation(
     bundle: &Bundle,
     estimator: &HlsEstimator,
@@ -190,6 +215,7 @@ pub fn scd_search_with_activation(
     // does not allocate per probe.
     let mut moved = point.clone();
     let mut deltas: Vec<(MoveCoord, isize, f64)> = Vec::with_capacity(3);
+    let mut landings: [Option<Landing>; MAX_RESTART_DEPTH] = Default::default();
 
     for _iter in 0..cfg.max_iterations {
         if candidates.len() >= cfg.candidates {
@@ -252,15 +278,32 @@ pub fn scd_search_with_activation(
         }
         if deltas.is_empty() {
             // No coordinate can move: restart from a fresh random depth.
-            let n = rng.random_range(1..=6);
-            point = DesignPoint::initial(bundle.clone(), n);
-            point.activation = activation;
-            // The plan rebases lazily: restarts land on one of six
-            // initial designs, so the PF-ladder rungs below mostly hit
-            // the plan's memo, and a rare miss stages against the
-            // lagging slot base (bit-identical by contract).
-            point.parallel_factor = choose_max_parallel_factor_with(&plan, &point);
-            if let Ok(e2) = plan.probe(&point) {
+            let n = rng.random_range(1..=MAX_RESTART_DEPTH);
+            let landing = match &mut landings[n - 1] {
+                Some(landing) => {
+                    if let Some(cache) = estimator.cache() {
+                        cache.record_hits(landing.tally.lookups, landing.tally.store_flagged);
+                    }
+                    landing
+                }
+                empty => {
+                    // The plan rebases lazily: a miss below stages
+                    // against the lagging slot base (bit-identical by
+                    // contract).
+                    let before = plan.lookup_tally();
+                    let mut landed = DesignPoint::initial(bundle.clone(), n);
+                    landed.activation = activation;
+                    landed.parallel_factor = choose_max_parallel_factor_with(&plan, &landed);
+                    let estimate = plan.probe(&landed).ok();
+                    empty.insert(Landing {
+                        point: landed,
+                        estimate,
+                        tally: plan.lookup_tally() - before,
+                    })
+                }
+            };
+            point.clone_from(&landing.point);
+            if let Some(e2) = landing.estimate {
                 plan.commit_probed(&point, e2);
                 est = e2;
                 lat = e2.latency_ms(cfg.clock_mhz);
@@ -479,6 +522,46 @@ mod tests {
             assert!((c.latency_ms - 60.0).abs() < 10.0);
             assert!(c.point.validate().is_ok());
         }
+    }
+
+    #[test]
+    fn warm_store_replays_every_lookup_as_a_store_hit() {
+        // Restart replay records lookups without probing; against a
+        // store-preloaded cache every one of them must still read as a
+        // store hit, exactly as re-running the PF ladder would count.
+        use codesign_hls::cache::EstimateCache;
+        use std::sync::Arc;
+        let (b, est) = estimator(13);
+        // A 20 ms target is out of reach for Bundle 13 on the PYNQ-Z1,
+        // so the search keeps getting stuck and revisits every restart
+        // depth many times.
+        let cfg = ScdConfig {
+            latency_target_ms: 20.0,
+            tolerance_ms: 2.0,
+            candidates: 8,
+            max_iterations: 200,
+            ..ScdConfig::default()
+        };
+        let model = AccuracyModel::paper_calibrated();
+        let cold_cache = Arc::new(EstimateCache::new());
+        let cold = scd_search(
+            &b,
+            &est.clone().with_cache(Arc::clone(&cold_cache)),
+            &model,
+            &cfg,
+        );
+        let cold_total = cold_cache.stats().total();
+
+        let warm_cache = Arc::new(EstimateCache::new());
+        for (key, value) in cold_cache.snapshot_ok() {
+            assert!(warm_cache.preload(&key, value));
+        }
+        let warm = scd_search(&b, &est.with_cache(Arc::clone(&warm_cache)), &model, &cfg);
+        let stats = warm_cache.stats();
+        assert_eq!(stats.total(), cold_total);
+        assert_eq!(stats.hits, stats.total());
+        assert_eq!(warm_cache.store_hits(), stats.hits);
+        assert_eq!(warm, cold);
     }
 
     #[test]

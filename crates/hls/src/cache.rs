@@ -20,7 +20,9 @@
 //! reports each such answer through [`EstimateCache::record_hit`], so
 //! only a search's first probe of a key reaches the map, while hits,
 //! misses and [`EstimateCache::store_hits`] read exactly as if every
-//! probe had.
+//! probe had. SCD goes one step further on its restarts: a repeat
+//! landing skips its PF-ladder probes altogether and replays their
+//! counts through [`EstimateCache::record_hits`].
 //!
 //! # Sharding
 //!
@@ -333,9 +335,18 @@ impl EstimateCache {
     /// so [`store_hits`](Self::store_hits) stays what the shared lookup
     /// would have counted.
     pub fn record_hit(&self, preloaded: bool) {
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        if preloaded {
-            self.store_hits.fetch_add(1, Ordering::Relaxed);
+        self.record_hits(1, u64::from(preloaded));
+    }
+
+    /// Counts `hits` hits at once, `store_hits` of them on preloaded
+    /// entries: [`record_hit`](Self::record_hit) for a caller replaying
+    /// a whole run of memo hits it has counted before (see
+    /// [`EstimatePlan::lookup_tally`](crate::incremental::EstimatePlan::lookup_tally)).
+    pub fn record_hits(&self, hits: u64, store_hits: u64) {
+        debug_assert!(store_hits <= hits, "store hits are a subset of hits");
+        self.hits.fetch_add(hits, Ordering::Relaxed);
+        if store_hits > 0 {
+            self.store_hits.fetch_add(store_hits, Ordering::Relaxed);
         }
     }
 }

@@ -30,6 +30,10 @@
 //! 3. [`EstimatePlan::commit`] / [`EstimatePlan::apply_move`] re-stage a
 //!    target the same way and make it the plan's new base point (no
 //!    cache interaction — the caller usually just probed the target).
+//! 4. Re-elaboration is itself memoized: the plan interns the slot
+//!    bodies it builds (see [Interned slot bodies](#interned-slot-bodies)),
+//!    so a replication or head it has elaborated before costs one `Arc`
+//!    clone plus a re-pricing of its terms.
 //!
 //! # Why re-summing in canonical order keeps bit-identity
 //!
@@ -65,10 +69,32 @@
 //! cache every time. The memo is dropped with the plan, at the end of
 //! each search; it assumes the shared cache is not
 //! [`clear`](EstimateCache::clear)ed while the plan lives.
+//!
+//! The plan also keeps a [`LookupTally`] of the logical lookups it has
+//! counted. A caller that knows a run of probes would repeat an earlier
+//! run exactly (SCD's restarts re-walk the same PF ladder) can skip the
+//! probes and record the earlier run's tally through
+//! [`EstimateCache::record_hits`]: on a repeat every probe is a memo
+//! hit, so the counts are the same.
+//!
+//! # Interned slot bodies
+//!
+//! Within one (Bundle, activation) pair, a replication's slot body
+//! depends only on its input shape, its channel width
+//! ([`channels_at`](codesign_dnn::space::DesignPoint::channels_at)) and
+//! whether it down-samples; the head's depends only on its input shape.
+//! The plan keeps every body it elaborates in a table under those keys,
+//! and a stage that needs one again takes an `Arc` clone instead of
+//! elaborating the layers. The table is cleared whenever a stage's
+//! Bundle or activation differs from the table's, errors are never
+//! interned, and the table is dropped with the plan. A body is a pure
+//! function of its key, so interning cannot change a single bit.
 
 use crate::cache::{EstimateCache, KeyBuf};
 use crate::calibrate::CalibratedParams;
 use crate::model::{Estimate, EstimateError, HlsEstimator};
+use codesign_dnn::bundle::Bundle;
+use codesign_dnn::quant::Activation;
 use codesign_dnn::space::DesignPoint;
 use codesign_dnn::{LayerInstance, TensorShape};
 use codesign_sim::device::FpgaDevice;
@@ -76,6 +102,7 @@ use codesign_sim::ip::{IpKind, INVOCATION_OVERHEAD};
 use codesign_sim::pipeline::{bram_blocks, control_overhead, tile_buffer_blocks, AccelConfig};
 use codesign_sim::report::ResourceUsage;
 use std::cell::RefCell;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
@@ -284,18 +311,15 @@ struct Slot {
 }
 
 impl Slot {
-    fn build(layers: Vec<LayerInstance>, cfg: &AccelConfig) -> Result<Self, EstimateError> {
-        let body = Arc::new(SlotBody::of(&layers, cfg)?);
+    /// A slot over `body` priced under `cfg`.
+    fn priced(body: Arc<SlotBody>, cfg: &AccelConfig) -> Self {
         let terms = SlotTerms::derive(&body, cfg);
-        Ok(Self { body, terms })
+        Self { body, terms }
     }
 
     /// The slot re-priced under another config (structure reused).
     fn repriced(&self, cfg: &AccelConfig) -> Self {
-        Self {
-            body: Arc::clone(&self.body),
-            terms: SlotTerms::derive(&self.body, cfg),
-        }
+        Self::priced(Arc::clone(&self.body), cfg)
     }
 
     fn output_shape(&self) -> TensorShape {
@@ -330,6 +354,57 @@ impl Hasher for WordHasher {
     }
 }
 
+type WordMap<K, V> = HashMap<K, V, BuildHasherDefault<WordHasher>>;
+
+/// Key of an interned replication body: its input shape, channel width
+/// and down-sampling flag.
+type RepKey = (TensorShape, usize, bool);
+
+/// The plan's interned slot bodies (see the module docs), valid for one
+/// (Bundle, activation) scope.
+#[derive(Debug, Clone, Default)]
+struct BodyTable {
+    scope: Option<(Bundle, Activation)>,
+    reps: WordMap<RepKey, Arc<SlotBody>>,
+    heads: WordMap<TensorShape, Arc<SlotBody>>,
+}
+
+impl BodyTable {
+    /// Clears the table unless it already belongs to `target`'s
+    /// Bundle and activation.
+    fn rescope(&mut self, target: &DesignPoint) {
+        if let Some((bundle, activation)) = &self.scope {
+            if *bundle == target.bundle && *activation == target.activation {
+                return;
+            }
+        }
+        self.reps.clear();
+        self.heads.clear();
+        self.scope = Some((target.bundle.clone(), target.activation));
+    }
+}
+
+/// Logical lookups an [`EstimatePlan`]'s probes have counted on the
+/// estimator's cache (all zero without a cache).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LookupTally {
+    /// Every logical lookup: memo hits, shared hits and shared misses.
+    pub lookups: u64,
+    /// The lookups whose entry was preloaded from a persistent store.
+    pub store_flagged: u64,
+}
+
+impl std::ops::Sub for LookupTally {
+    type Output = Self;
+
+    fn sub(self, earlier: Self) -> Self {
+        Self {
+            lookups: self.lookups - earlier.lookups,
+            store_flagged: self.store_flagged - earlier.store_flagged,
+        }
+    }
+}
+
 /// A memoized shared-cache result plus the entry's store provenance.
 type MemoEntry = (Result<Estimate, EstimateError>, bool);
 
@@ -338,7 +413,8 @@ type MemoEntry = (Result<Estimate, EstimateError>, bool);
 #[derive(Debug, Clone, Default)]
 struct ProbeMemo {
     words: Vec<u64>,
-    entries: HashMap<Box<[u64]>, MemoEntry, BuildHasherDefault<WordHasher>>,
+    entries: WordMap<Box<[u64]>, MemoEntry>,
+    tally: LookupTally,
 }
 
 impl ProbeMemo {
@@ -355,13 +431,16 @@ impl ProbeMemo {
     ) -> Result<Estimate, EstimateError> {
         self.words.clear();
         target.encode_canonical(&mut |w| self.words.push(w));
+        self.tally.lookups += 1;
         if let Some((value, preloaded)) = self.entries.get(self.words.as_slice()) {
+            self.tally.store_flagged += u64::from(*preloaded);
             cache.record_hit(*preloaded);
             return value.clone();
         }
         let mut key = KeyBuf::new();
         estimator.write_key(target, &mut key);
         let (value, preloaded) = cache.get_or_insert_with_provenance(key.as_bytes(), compute);
+        self.tally.store_flagged += u64::from(preloaded);
         self.entries
             .insert(self.words.as_slice().into(), (value.clone(), preloaded));
         value
@@ -432,6 +511,8 @@ pub struct EstimatePlan {
     staged: RefCell<Option<(DesignPoint, Staged)>>,
     /// Shared-cache results this plan has already looked up.
     memo: RefCell<ProbeMemo>,
+    /// Slot bodies this plan has elaborated, for reuse by later stages.
+    bodies: RefCell<BodyTable>,
 }
 
 impl EstimatePlan {
@@ -458,6 +539,7 @@ impl EstimatePlan {
             slots: Vec::new(),
             staged: RefCell::new(None),
             memo: RefCell::new(ProbeMemo::default()),
+            bodies: RefCell::new(BodyTable::default()),
         };
         let staged = plan.stage(point)?;
         plan.adopt(point, staged);
@@ -486,6 +568,14 @@ impl EstimatePlan {
     /// The estimator whose model the plan applies.
     pub fn estimator(&self) -> &HlsEstimator {
         &self.estimator
+    }
+
+    /// The logical cache lookups this plan's probes have counted so far.
+    /// The difference of two tallies is what re-running the probes in
+    /// between would count again, since a repeat probe is a memo hit
+    /// with the same store provenance.
+    pub fn lookup_tally(&self) -> LookupTally {
+        self.memo.borrow().tally
     }
 
     /// Estimates `target` without committing to it, reusing every slot
@@ -594,9 +684,10 @@ impl EstimatePlan {
 
     /// Re-estimates `target` against the current slot list: reuse the
     /// structural prefix, re-elaborate from the first changed
-    /// replication, re-derive terms (for every slot when the accelerator
-    /// config changed, for rebuilt slots otherwise), and fold in
-    /// canonical order.
+    /// replication (taking interned bodies where the table has them),
+    /// re-derive terms (for every slot when the accelerator config
+    /// changed, for rebuilt slots otherwise), and fold in canonical
+    /// order.
     fn stage(&self, target: &DesignPoint) -> Result<Staged, EstimateError> {
         target.validate()?;
         let cfg = AccelConfig::new(target.parallel_factor, target.quantization());
@@ -623,18 +714,37 @@ impl EstimatePlan {
         if slots.is_empty() {
             let (layers, out) = builder.stem(target)?;
             shape = out;
-            slots.push(Slot::build(layers, &cfg)?);
+            slots.push(Slot::priced(Arc::new(SlotBody::of(&layers, &cfg)?), &cfg));
         } else {
             shape = slots.last().expect("stem pushed").output_shape();
         }
         let done_reps = (slots.len() - 1).min(reps);
+        let mut bodies = self.bodies.borrow_mut();
+        bodies.rescope(target);
         for rep in done_reps..reps {
-            let (layers, out) = builder.replication(target, rep, shape)?;
-            shape = out;
-            slots.push(Slot::build(layers, &cfg)?);
+            let key = (
+                shape,
+                target.channels_at(rep),
+                builder.downsample_at(target, rep),
+            );
+            let body = match bodies.reps.entry(key) {
+                Entry::Occupied(hit) => Arc::clone(hit.get()),
+                Entry::Vacant(miss) => {
+                    let (layers, _) = builder.replication(target, rep, shape)?;
+                    Arc::clone(miss.insert(Arc::new(SlotBody::of(&layers, &cfg)?)))
+                }
+            };
+            shape = body.output;
+            slots.push(Slot::priced(body, &cfg));
         }
         if slots.len() < reps + 2 {
-            slots.push(Slot::build(builder.head(shape)?, &cfg)?);
+            let body = match bodies.heads.entry(shape) {
+                Entry::Occupied(hit) => Arc::clone(hit.get()),
+                Entry::Vacant(miss) => {
+                    Arc::clone(miss.insert(Arc::new(SlotBody::of(&builder.head(shape)?, &cfg)?)))
+                }
+            };
+            slots.push(Slot::priced(body, &cfg));
         }
 
         let estimate = fold(

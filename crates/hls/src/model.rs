@@ -350,9 +350,15 @@ impl HlsEstimator {
         salt
     }
 
-    /// True when the estimate fits the target device.
+    /// True when the estimate fits the target device: the verdict of
+    /// [`FpgaDevice::check_fit`] without building its error, since
+    /// SCD and the PF ladder ask this of thousands of misfits per flow.
     pub fn fits(&self, estimate: &Estimate) -> bool {
-        self.device.check_fit(&estimate.resources).is_ok()
+        let (used, dev) = (&estimate.resources, &self.device);
+        used.dsp <= dev.dsp
+            && used.lut <= dev.lut
+            && used.ff <= dev.ff
+            && used.bram_18k <= dev.bram_18k
     }
 }
 
@@ -437,6 +443,36 @@ mod tests {
         p.activation = Activation::Relu;
         let e = est.estimate_point(&p).unwrap();
         assert!(!est.fits(&e));
+    }
+
+    #[test]
+    fn fits_agrees_with_check_fit_at_every_budget_edge() {
+        let est = estimator_for(13);
+        let budget = est.device().budget();
+        let around = |limit: u64| [0, limit.saturating_sub(1), limit, limit + 1, u64::MAX];
+        for dsp in around(budget.dsp) {
+            for lut in around(budget.lut) {
+                for ff in around(budget.ff) {
+                    for bram_18k in around(budget.bram_18k) {
+                        let resources = ResourceUsage {
+                            dsp,
+                            lut,
+                            ff,
+                            bram_18k,
+                        };
+                        let e = Estimate {
+                            latency_cycles: 1,
+                            resources,
+                        };
+                        assert_eq!(
+                            est.fits(&e),
+                            est.device().check_fit(&resources).is_ok(),
+                            "{resources:?}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

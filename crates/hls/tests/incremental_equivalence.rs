@@ -51,8 +51,71 @@ fn random_target(rng: &mut StdRng, point: &DesignPoint, bundle_id: usize) -> Des
     }
 }
 
+/// A unit-or-multi move along one SCD coordinate or a PF rung change:
+/// a walk step that keeps the Bundle and activation.
+fn random_move(rng: &mut StdRng, point: &DesignPoint) -> DesignPoint {
+    match rng.random_range(0..4u8) {
+        0 => point.with_replication_delta(rng.random_range(-2isize..=2)),
+        1 => point.with_expansion_delta(rng.random_range(-3isize..=3)),
+        2 => point.with_downsample_delta(rng.random_range(-2isize..=2)),
+        _ => {
+            let mut p = point.clone();
+            p.parallel_factor = random_rung(rng);
+            p
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Slot-body interning is scoped to one (Bundle, activation) pair.
+    /// One long-lived, uncached plan (so every probe stages) walks a
+    /// first Bundle, another Bundle under the same activation, that
+    /// Bundle under another activation, and the first pair again. Every
+    /// probe must match a full rebuild.
+    #[test]
+    fn prop_interned_bodies_stay_exact_across_bundle_and_activation_switches(
+        first_id in 1usize..=18,
+        other_offset in 1usize..18,
+        seed in 0u64..u64::MAX / 2,
+        walk_len in 6usize..16,
+    ) {
+        let other_id = (first_id - 1 + other_offset) % 18 + 1;
+        let first = bundle_by_id(BundleId(first_id)).unwrap();
+        let params = calibrate_bundle(&first, &pynq_z1()).unwrap();
+        let estimator = HlsEstimator::new(params, pynq_z1());
+        let mut rng = StdRng::seed_from_u64(seed);
+        let act = rng.random_range(0usize..3);
+        let other_act = (act + rng.random_range(1usize..3)) % 3;
+        let phases = [
+            (first_id, act),
+            (other_id, act),
+            (other_id, other_act),
+            (first_id, act),
+        ];
+
+        let mut plan: Option<EstimatePlan> = None;
+        for (bundle_id, act) in phases {
+            let bundle = bundle_by_id(BundleId(bundle_id)).unwrap();
+            let mut point = DesignPoint::initial(bundle, rng.random_range(1usize..=5));
+            point.activation = Activation::ALL[act];
+            let plan = plan.get_or_insert_with(|| EstimatePlan::new(&estimator, &point).unwrap());
+            prop_assert_eq!(&plan.probe(&point), &estimator.estimate_point(&point));
+            if plan.commit(&point).is_err() {
+                continue;
+            }
+            for _step in 0..walk_len {
+                let target = random_move(&mut rng, &point);
+                let full = estimator.estimate_point(&target);
+                prop_assert_eq!(&plan.probe(&target), &full);
+                if full.is_ok() && rng.random_bool(0.7) {
+                    prop_assert_eq!(plan.commit(&target), full);
+                    point = target;
+                }
+            }
+        }
+    }
 
     #[test]
     fn prop_plan_walk_is_bit_identical_to_full_rebuild(

@@ -177,6 +177,7 @@ pub(crate) fn f32_tile(
         // `available_levels` all gate on it).
         SimdLevel::Sse2 => unsafe { f32_tile_sse2(apack, panel, init, acc) },
         #[cfg(target_arch = "x86_64")]
+        // SAFETY: as above; `Avx2` exists only after AVX2 detection.
         SimdLevel::Avx2 => unsafe { f32_tile_avx2(apack, panel, init, acc) },
         #[cfg(not(target_arch = "x86_64"))]
         _ => f32_tile_scalar(apack, panel, init, acc),
@@ -200,6 +201,12 @@ fn f32_tile_scalar(apack: &[f32], panel: &[f32], init: &[f32], acc: &mut [f32; M
     }
 }
 
+/// # Safety
+///
+/// The CPU must support `sse2`. Every pointer read and write stays in
+/// bounds given the shape contract of [`f32_tile`]: `apack` holds `k`
+/// rows of `MR`, `panel` holds `k` rows of 4, `init` holds 4 lanes,
+/// and the 4-wide tile fits `acc`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "sse2")]
 unsafe fn f32_tile_sse2(apack: &[f32], panel: &[f32], init: &[f32], acc: &mut [f32; MR * MAX_NR]) {
@@ -225,6 +232,12 @@ unsafe fn f32_tile_sse2(apack: &[f32], panel: &[f32], init: &[f32], acc: &mut [f
     }
 }
 
+/// # Safety
+///
+/// The CPU must support `avx2`. Every pointer read and write stays in
+/// bounds given the shape contract of [`f32_tile`]: `apack` holds `k`
+/// rows of `MR`, `panel` holds `k` rows of 8, `init` holds 8 lanes,
+/// and the 8-wide tile fits `acc`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn f32_tile_avx2(apack: &[f32], panel: &[f32], init: &[f32], acc: &mut [f32; MR * MAX_NR]) {
@@ -278,6 +291,7 @@ pub(crate) fn i8_tile(
         // SAFETY: same detection invariant as `f32_tile`.
         SimdLevel::Sse2 => unsafe { i8_tile_sse2(apack, panel, acc) },
         #[cfg(target_arch = "x86_64")]
+        // SAFETY: same detection invariant as `f32_tile`.
         SimdLevel::Avx2 => unsafe { i8_tile_avx2(apack, panel, acc) },
         #[cfg(not(target_arch = "x86_64"))]
         _ => i8_tile_scalar(apack, panel, acc),
@@ -300,6 +314,12 @@ fn i8_tile_scalar(apack: &[i16], panel: &[i16], acc: &mut [i32; MR * MAX_NR]) {
     }
 }
 
+/// # Safety
+///
+/// The CPU must support `sse2`. Every pointer read and write stays in
+/// bounds given the shape contract of [`i8_tile`]: `apack` holds `kp`
+/// pair-rows of `MR`, `panel` holds `kp` pair-rows of 4, and the
+/// 4-wide tile fits `acc`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "sse2")]
 unsafe fn i8_tile_sse2(apack: &[i16], panel: &[i16], acc: &mut [i32; MR * MAX_NR]) {
@@ -326,6 +346,12 @@ unsafe fn i8_tile_sse2(apack: &[i16], panel: &[i16], acc: &mut [i32; MR * MAX_NR
     }
 }
 
+/// # Safety
+///
+/// The CPU must support `avx2`. Every pointer read and write stays in
+/// bounds given the shape contract of [`i8_tile`]: `apack` holds `kp`
+/// pair-rows of `MR`, `panel` holds `kp` pair-rows of 8, and the
+/// 8-wide tile fits `acc`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn i8_tile_avx2(apack: &[i16], panel: &[i16], acc: &mut [i32; MR * MAX_NR]) {

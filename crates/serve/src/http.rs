@@ -7,12 +7,93 @@
 //! the progress-event stream). Everything rides on `std::net::TcpStream`
 //! and blocking reads behind per-connection threads.
 
+use std::fmt;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 
 /// Maximum accepted request-body size (a co-design request is a few
 /// hundred bytes; anything larger is a client bug or abuse).
 pub const MAX_BODY_BYTES: usize = 1 << 20;
+
+/// Longest accepted request line, terminator included.
+pub const MAX_REQUEST_LINE_BYTES: usize = 8 << 10;
+
+/// Longest accepted header line, terminator included.
+pub const MAX_HEADER_LINE_BYTES: usize = 8 << 10;
+
+/// Most header lines one request may carry.
+pub const MAX_HEADERS: usize = 100;
+
+/// Most header bytes one request may carry, terminators included.
+pub const MAX_HEADER_BYTES: usize = 64 << 10;
+
+/// A request head over one of the limits above. [`read_request`]
+/// returns it inside an `InvalidData` [`io::Error`] (see
+/// [`HeadTooLarge::of`]); the server answers it with
+/// `431 Request Header Fields Too Large`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum HeadTooLarge {
+    /// Over [`MAX_REQUEST_LINE_BYTES`].
+    RequestLine,
+    /// Over [`MAX_HEADER_LINE_BYTES`].
+    HeaderLine,
+    /// Over [`MAX_HEADERS`].
+    HeaderCount,
+    /// Over [`MAX_HEADER_BYTES`].
+    HeaderBytes,
+}
+
+impl HeadTooLarge {
+    /// The head-limit error carried by `err`, if that is what it is.
+    pub fn of(err: &io::Error) -> Option<Self> {
+        err.get_ref()?.downcast_ref::<Self>().copied()
+    }
+}
+
+impl fmt::Display for HeadTooLarge {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Self::RequestLine => {
+                write!(f, "request line longer than {MAX_REQUEST_LINE_BYTES} bytes")
+            }
+            Self::HeaderLine => write!(f, "header line longer than {MAX_HEADER_LINE_BYTES} bytes"),
+            Self::HeaderCount => write!(f, "more than {MAX_HEADERS} headers"),
+            Self::HeaderBytes => write!(f, "headers longer than {MAX_HEADER_BYTES} bytes"),
+        }
+    }
+}
+
+impl std::error::Error for HeadTooLarge {}
+
+impl From<HeadTooLarge> for io::Error {
+    fn from(err: HeadTooLarge) -> Self {
+        io::Error::new(io::ErrorKind::InvalidData, err)
+    }
+}
+
+/// Reads one `\n`-terminated line of at most `limit` bytes into `buf`
+/// and returns it as text: at most `limit` bytes are ever buffered, so
+/// a client streaming a line without end cannot grow memory. Returns
+/// `Ok(None)` at end of stream, and `exceeded` when the line does not
+/// end within `limit` bytes.
+fn read_bounded_line<'b>(
+    reader: &mut impl BufRead,
+    limit: usize,
+    exceeded: HeadTooLarge,
+    buf: &'b mut Vec<u8>,
+) -> io::Result<Option<&'b str>> {
+    buf.clear();
+    let n = reader.take(limit as u64).read_until(b'\n', buf)?;
+    if n == 0 {
+        return Ok(None);
+    }
+    if n == limit && buf.last() != Some(&b'\n') {
+        return Err(exceeded.into());
+    }
+    std::str::from_utf8(buf)
+        .map(Some)
+        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "request head is not UTF-8"))
+}
 
 /// A parsed HTTP request.
 #[derive(Debug, Clone)]
@@ -49,16 +130,27 @@ impl Request {
 /// Reads one request from the stream. Returns `Ok(None)` when the peer
 /// closed the connection before sending a request line.
 ///
+/// The head is bounded: [`MAX_REQUEST_LINE_BYTES`],
+/// [`MAX_HEADER_LINE_BYTES`] per header, [`MAX_HEADERS`] headers and
+/// [`MAX_HEADER_BYTES`] in all.
+///
 /// # Errors
 ///
 /// Propagates socket errors; malformed requests surface as
-/// `InvalidData`.
+/// `InvalidData`, and a head over a limit as `InvalidData` carrying a
+/// [`HeadTooLarge`].
 pub fn read_request(stream: &mut TcpStream) -> io::Result<Option<Request>> {
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    if reader.read_line(&mut line)? == 0 {
+    let mut buf = Vec::new();
+    let Some(line) = read_bounded_line(
+        &mut reader,
+        MAX_REQUEST_LINE_BYTES,
+        HeadTooLarge::RequestLine,
+        &mut buf,
+    )?
+    else {
         return Ok(None);
-    }
+    };
     let mut parts = line.split_whitespace();
     let method = parts
         .next()
@@ -71,17 +163,31 @@ pub fn read_request(stream: &mut TcpStream) -> io::Result<Option<Request>> {
 
     let mut headers = Vec::new();
     let mut content_length = 0usize;
+    let (mut header_lines, mut header_bytes) = (0usize, 0usize);
     loop {
-        let mut header_line = String::new();
-        if reader.read_line(&mut header_line)? == 0 {
+        let Some(header_line) = read_bounded_line(
+            &mut reader,
+            MAX_HEADER_LINE_BYTES,
+            HeadTooLarge::HeaderLine,
+            &mut buf,
+        )?
+        else {
             return Err(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
                 "connection closed inside headers",
             ));
+        };
+        header_bytes += header_line.len();
+        if header_bytes > MAX_HEADER_BYTES {
+            return Err(HeadTooLarge::HeaderBytes.into());
         }
         let trimmed = header_line.trim_end();
         if trimmed.is_empty() {
             break;
+        }
+        header_lines += 1;
+        if header_lines > MAX_HEADERS {
+            return Err(HeadTooLarge::HeaderCount.into());
         }
         if let Some((name, value)) = trimmed.split_once(':') {
             let name = name.trim().to_lowercase();
@@ -120,6 +226,7 @@ fn reason(status: u16) -> &'static str {
         405 => "Method Not Allowed",
         409 => "Conflict",
         429 => "Too Many Requests",
+        431 => "Request Header Fields Too Large",
         500 => "Internal Server Error",
         503 => "Service Unavailable",
         _ => "Unknown",
@@ -270,4 +377,30 @@ pub fn read_response(stream: &mut TcpStream) -> io::Result<(u16, Vec<u8>)> {
         reader.read_to_end(&mut body)?;
     }
     Ok((status, body))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn bounded_line_accepts_exactly_its_limit() {
+        let mut buf = Vec::new();
+        let fits = format!("{}\n", "a".repeat(9));
+        let mut reader = fits.as_bytes();
+        let line = read_bounded_line(&mut reader, 10, HeadTooLarge::HeaderLine, &mut buf);
+        assert_eq!(line.unwrap(), Some(fits.as_str()));
+
+        let over = "a".repeat(10) + "\n";
+        let mut reader = over.as_bytes();
+        let err = read_bounded_line(&mut reader, 10, HeadTooLarge::HeaderLine, &mut buf);
+        assert_eq!(
+            HeadTooLarge::of(&err.unwrap_err()),
+            Some(HeadTooLarge::HeaderLine)
+        );
+
+        let mut reader: &[u8] = b"";
+        let eof = read_bounded_line(&mut reader, 10, HeadTooLarge::HeaderLine, &mut buf);
+        assert_eq!(eof.unwrap(), None);
+    }
 }

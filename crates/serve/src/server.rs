@@ -16,10 +16,13 @@
 //! | GET    | `/healthz`            | `200` per-subsystem health: `{"ok":B,"status":"ok|degraded","subsystems":{...}}` |
 //! | POST   | `/admin/shutdown`     | `200`, begins graceful shutdown (body: `{"policy":"drain"\|"cancel"}`, default drain) |
 //!
+//! Any request whose head breaks a limit of [`crate::http`] (request
+//! line, header line, header count or total header bytes) gets `431`.
 //! Every error body is `{"error":"<message>"}`.
 
 use crate::http::{
-    read_request, write_json_response, write_json_response_with, ChunkedWriter, Request,
+    read_request, write_json_response, write_json_response_with, ChunkedWriter, HeadTooLarge,
+    Request,
 };
 use crate::job::{CancelOutcome, JobLookup, Scheduler, ServeConfig, ShutdownPolicy, SubmitError};
 use crate::json::Json;
@@ -228,7 +231,12 @@ fn handle_connection(mut stream: TcpStream, scheduler: &Scheduler, control: &Ser
         Ok(Some(request)) => request,
         Ok(None) => return,
         Err(err) => {
-            let _ = write_json_response(&mut stream, 400, &error_body(&err.to_string()));
+            let status = if HeadTooLarge::of(&err).is_some() {
+                431
+            } else {
+                400
+            };
+            let _ = write_json_response(&mut stream, status, &error_body(&err.to_string()));
             return;
         }
     };

@@ -240,6 +240,64 @@ fn client_errors_get_client_status_codes() {
     server.shutdown();
 }
 
+/// Sends `head` raw from a writer thread (the server may stop reading
+/// and close early, so write errors are expected) and reads the
+/// response status on this thread.
+fn raw_status(addr: std::net::SocketAddr, head: Vec<u8>) -> u16 {
+    let mut stream = std::net::TcpStream::connect(addr).expect("connect");
+    let mut writer = stream.try_clone().expect("clone stream");
+    let sender = thread::spawn(move || {
+        let _ = std::io::Write::write_all(&mut writer, &head);
+    });
+    let (status, _) = codesign_serve::http::read_response(&mut stream).expect("response");
+    let _ = stream.shutdown(std::net::Shutdown::Both);
+    sender.join().expect("writer thread");
+    status
+}
+
+#[test]
+fn oversized_request_heads_get_431() {
+    use codesign_serve::http::{MAX_HEADERS, MAX_REQUEST_LINE_BYTES};
+    let mut server = Server::start(ServeConfig {
+        executors: 0,
+        ..ServeConfig::default()
+    })
+    .expect("start server");
+
+    // One 1 MiB header with no newline.
+    let mut head = b"GET /healthz HTTP/1.1\r\nx-flood: ".to_vec();
+    head.resize(head.len() + (1 << 20), b'a');
+    assert_eq!(raw_status(server.addr(), head), 431);
+
+    // One header more than the cap.
+    let mut head = String::from("GET /healthz HTTP/1.1\r\n");
+    for i in 0..=MAX_HEADERS {
+        head.push_str(&format!("x-h{i}: v\r\n"));
+    }
+    head.push_str("\r\n");
+    assert_eq!(raw_status(server.addr(), head.into_bytes()), 431);
+
+    // A request line over its cap.
+    let head = format!(
+        "GET /{} HTTP/1.1\r\n\r\n",
+        "p".repeat(MAX_REQUEST_LINE_BYTES)
+    );
+    assert_eq!(raw_status(server.addr(), head.into_bytes()), 431);
+
+    // Exactly the header cap is still a request.
+    let mut head = String::from("GET /healthz HTTP/1.1\r\n");
+    for i in 0..MAX_HEADERS {
+        head.push_str(&format!("x-h{i}: v\r\n"));
+    }
+    head.push_str("\r\n");
+    assert_eq!(raw_status(server.addr(), head.into_bytes()), 200);
+
+    let (status, body) = Client::new(server.addr()).get("/healthz").unwrap();
+    assert_eq!(status, 200);
+    assert_eq!(parse(&body).unwrap().get("ok"), Some(&Json::Bool(true)));
+    server.shutdown();
+}
+
 #[test]
 fn sharded_jobs_serve_bytes_identical_to_in_process_jobs() {
     // `codesign-serve` itself is the worker binary: its `main` calls

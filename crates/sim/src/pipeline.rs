@@ -13,9 +13,11 @@
 //!   BRAM buffers without DRAM round-trips.
 //! * **Tile-level pipelining** — tiles carry no cross-tile dependencies,
 //!   so the IPs of a Bundle form a pipeline over the tile stream. The
-//!   scheduler computes the pipeline's makespan with the classic
-//!   dependency recurrence
+//!   pipeline obeys the classic dependency recurrence
 //!   `finish[s][t] = max(finish[s-1][t], finish[s][t-1]) + cycles[s]`.
+//!   Every tile of a group costs the same per stage, so the recurrence
+//!   has a closed form, which [`pipeline_makespan`] evaluates in
+//!   O(stages) instead of O(tiles × stages).
 //!
 //! Inter-Bundle traffic (Bundle inputs and outputs) goes through DRAM at
 //! the device's bandwidth; intra-Bundle traffic stays in BRAM. Weights
@@ -171,6 +173,21 @@ pub fn control_overhead(distinct_ips: usize) -> ResourceUsage {
     }
 }
 
+/// Makespan of `n_tiles ≥ 1` identical tiles through a pipeline whose
+/// stage `s` costs `stage_cycles[s]` per tile: `Σc + (T − 1)·max c`.
+///
+/// This is exactly where the recurrence
+/// `finish[s][t] = max(finish[s-1][t], finish[s][t-1]) + c[s]` ends.
+/// Its value is the costliest monotone lattice path from the first
+/// cell to the last, and such a path crosses every stage once and
+/// spends its `T − 1` extra cells on the slowest one. Integer math, so
+/// the result is bit-identical to running the recurrence.
+pub fn pipeline_makespan(stage_cycles: &[u64], n_tiles: u64) -> u64 {
+    let sum: u64 = stage_cycles.iter().sum();
+    let slowest = stage_cycles.iter().copied().max().unwrap_or(0);
+    sum + n_tiles.saturating_sub(1) * slowest
+}
+
 /// Groups a DNN's layers into pipeline groups: one group per Bundle
 /// replication, with stem and head layers forming their own groups.
 fn pipeline_groups(dnn: &Dnn) -> Vec<Vec<&LayerInstance>> {
@@ -300,18 +317,7 @@ pub fn simulate(dnn: &Dnn, cfg: &AccelConfig, device: &FpgaDevice) -> Result<Sim
         }
         stage_cycles.push((out_tile_bytes as f64 / bw).ceil() as u64);
 
-        // Tile pipeline makespan:
-        // finish[s][t] = max(finish[s-1][t], finish[s][t-1]) + c[s].
-        let mut finish = vec![0u64; stage_cycles.len()];
-        for _tile in 0..n_tiles {
-            let mut prev_stage_finish = 0u64;
-            for (s, &c) in stage_cycles.iter().enumerate() {
-                let start = prev_stage_finish.max(finish[s]);
-                finish[s] = start + c;
-                prev_stage_finish = finish[s];
-            }
-        }
-        let pipeline_cycles = *finish.last().expect("at least the DMA stages exist");
+        let pipeline_cycles = pipeline_makespan(&stage_cycles, n_tiles);
 
         // Weight streaming: double-buffered, half hidden behind the
         // previous group's compute.
@@ -383,6 +389,20 @@ mod tests {
     use codesign_dnn::bundle::{bundle_by_id, BundleId};
     use codesign_dnn::quant::Activation;
     use proptest::prelude::*;
+
+    /// The tile-by-tile recurrence [`pipeline_makespan`] closes:
+    /// `finish[s][t] = max(finish[s-1][t], finish[s][t-1]) + c[s]`.
+    fn recurrence_makespan(stage_cycles: &[u64], n_tiles: u64) -> u64 {
+        let mut finish = vec![0u64; stage_cycles.len()];
+        for _tile in 0..n_tiles {
+            let mut prev_stage_finish = 0u64;
+            for (s, &c) in stage_cycles.iter().enumerate() {
+                finish[s] = prev_stage_finish.max(finish[s]) + c;
+                prev_stage_finish = finish[s];
+            }
+        }
+        finish.last().copied().unwrap_or(0)
+    }
 
     fn dnn_for(id: usize, reps: usize, pf: usize, act: Activation) -> Dnn {
         let b = bundle_by_id(BundleId(id)).unwrap();
@@ -518,6 +538,49 @@ mod tests {
         // Bars sum (approximately) to the requested width.
         let bar_cells: usize = chart.matches(['#', '-']).count();
         assert!((55..=70).contains(&bar_cells), "bar cells {bar_cells}");
+    }
+
+    #[test]
+    fn makespan_matches_recurrence_on_edge_cases() {
+        for (stages, tiles) in [
+            (&[][..], 5),
+            (&[0, 0, 0][..], 7),
+            (&[5][..], 1),
+            (&[5][..], 9),
+            (&[3, 0, 9, 0, 1][..], 1),
+            (&[3, 0, 9, 0, 1][..], 1_152),
+            (&[4, 4, 4][..], 10),
+        ] {
+            assert_eq!(
+                pipeline_makespan(stages, tiles),
+                recurrence_makespan(stages, tiles),
+                "stages {stages:?} tiles {tiles}"
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn prop_makespan_matches_recurrence(
+            stages in prop::collection::vec(0u64..40, 1..12),
+            zeros in prop::collection::vec(0usize..12, 0..4),
+            tiles in 1u64..=2000,
+        ) {
+            // Force some stages to zero cost: DMA stages of tiny maps
+            // and cheap element-wise layers round down to nothing.
+            let mut stages = stages;
+            for z in zeros {
+                if let Some(c) = stages.get_mut(z) {
+                    *c = 0;
+                }
+            }
+            prop_assert_eq!(
+                pipeline_makespan(&stages, tiles),
+                recurrence_makespan(&stages, tiles)
+            );
+        }
     }
 
     proptest! {
