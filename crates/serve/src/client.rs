@@ -25,14 +25,16 @@ impl Client {
     fn request(&self, method: &str, path: &str, body: Option<&str>) -> io::Result<(u16, String)> {
         let mut stream = TcpStream::connect(self.addr)?;
         let body = body.unwrap_or("");
-        let head = format!(
+        // One write: a server that refuses the connection unread (503,
+        // every handler busy) resets it, and a second write would fail
+        // before the answer is read.
+        let mut request = format!(
             "{method} {path} HTTP/1.1\r\nhost: {}\r\ncontent-length: {}\r\nconnection: close\r\n\r\n",
             self.addr,
             body.len()
         );
-        stream.write_all(head.as_bytes())?;
-        stream.write_all(body.as_bytes())?;
-        stream.flush()?;
+        request.push_str(body);
+        stream.write_all(request.as_bytes())?;
         let (status, bytes) = read_response(&mut stream)?;
         let text = String::from_utf8(bytes)
             .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "non-UTF-8 response"))?;

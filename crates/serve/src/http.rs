@@ -5,11 +5,17 @@
 //! of HTTP/1.1 (one request per connection, `Content-Length` bodies,
 //! `Connection: close` responses, and `Transfer-Encoding: chunked` for
 //! the progress-event stream). Everything rides on `std::net::TcpStream`
-//! and blocking reads behind per-connection threads.
+//! and blocking I/O. Connections are served by a bounded pool of at most
+//! [`MAX_HANDLERS`] reused handler threads, so a burst of clients costs
+//! a bounded number of threads and a quiet server holds none for longer
+//! than [`HANDLER_IDLE_TTL`]. Every handler read and write is bounded in
+//! time ([`REQUEST_TIMEOUT`], [`WRITE_TIMEOUT`]), so no client can pin a
+//! handler by stalling.
 
 use std::fmt;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
+use std::time::{Duration, Instant};
 
 /// Maximum accepted request-body size (a co-design request is a few
 /// hundred bytes; anything larger is a client bug or abuse).
@@ -26,6 +32,29 @@ pub const MAX_HEADERS: usize = 100;
 
 /// Most header bytes one request may carry, terminators included.
 pub const MAX_HEADER_BYTES: usize = 64 << 10;
+
+/// Most connection handlers live at once. A connection that arrives
+/// while every handler is busy gets `503` with `Retry-After` from the
+/// accept loop itself. Event streams hold their handler until the job
+/// ends, so this also caps concurrent streams; 64 is far above the
+/// handful of clients a co-design server serves, and keeps a flood of
+/// connections from costing more than 64 thread stacks.
+pub const MAX_HANDLERS: usize = 64;
+
+/// How long an idle handler waits for its next connection before its
+/// thread exits. Long enough that a client's submit, event stream and
+/// result fetch reuse warm threads; short enough that threads spawned
+/// for a burst do not outlive it by much.
+pub const HANDLER_IDLE_TTL: Duration = Duration::from_secs(2);
+
+/// Time a client has to deliver its whole request, head and body. Each
+/// socket read also waits at most this long, so a request that stalls,
+/// or trickles in, is answered `408` within twice this bound.
+pub const REQUEST_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Longest one socket write may block, so a client that stops reading
+/// (an event stream, say) frees its handler.
+pub const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// A request head over one of the limits above. [`read_request`]
 /// returns it inside an `InvalidData` [`io::Error`] (see
@@ -127,20 +156,56 @@ impl Request {
     }
 }
 
+/// Whether `err` is a read that ran out of time: the whole request
+/// took longer than [`REQUEST_TIMEOUT`], or one socket read waited that
+/// long (`WouldBlock` on Unix, `TimedOut` elsewhere). The server answers
+/// it with `408 Request Timeout`.
+pub fn is_timeout(err: &io::Error) -> bool {
+    matches!(
+        err.kind(),
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+    )
+}
+
+/// A reader that refuses to read once `deadline` has passed, so a peer
+/// that trickles bytes cannot stretch one request without end.
+struct Deadline<R> {
+    inner: R,
+    deadline: Instant,
+}
+
+impl<R: Read> Read for Deadline<R> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        if Instant::now() >= self.deadline {
+            return Err(io::Error::new(
+                io::ErrorKind::TimedOut,
+                "request not received in time",
+            ));
+        }
+        self.inner.read(buf)
+    }
+}
+
 /// Reads one request from the stream. Returns `Ok(None)` when the peer
 /// closed the connection before sending a request line.
 ///
 /// The head is bounded: [`MAX_REQUEST_LINE_BYTES`],
 /// [`MAX_HEADER_LINE_BYTES`] per header, [`MAX_HEADERS`] headers and
-/// [`MAX_HEADER_BYTES`] in all.
+/// [`MAX_HEADER_BYTES`] in all. The whole request must arrive within
+/// [`REQUEST_TIMEOUT`]; on a socket, set a read timeout too, or one
+/// stalled read can outwait the deadline.
 ///
 /// # Errors
 ///
 /// Propagates socket errors; malformed requests surface as
-/// `InvalidData`, and a head over a limit as `InvalidData` carrying a
-/// [`HeadTooLarge`].
-pub fn read_request(stream: &mut TcpStream) -> io::Result<Option<Request>> {
-    let mut reader = BufReader::new(stream);
+/// `InvalidData`, a head over a limit as `InvalidData` carrying a
+/// [`HeadTooLarge`], and a late request as an error [`is_timeout`]
+/// accepts.
+pub fn read_request(stream: &mut impl Read) -> io::Result<Option<Request>> {
+    let mut reader = BufReader::new(Deadline {
+        inner: stream,
+        deadline: Instant::now() + REQUEST_TIMEOUT,
+    });
     let mut buf = Vec::new();
     let Some(line) = read_bounded_line(
         &mut reader,
@@ -224,6 +289,7 @@ fn reason(status: u16) -> &'static str {
         400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
+        408 => "Request Timeout",
         409 => "Conflict",
         429 => "Too Many Requests",
         431 => "Request Header Fields Too Large",
@@ -238,57 +304,66 @@ fn reason(status: u16) -> &'static str {
 /// # Errors
 ///
 /// Propagates socket errors.
-pub fn write_json_response(stream: &mut TcpStream, status: u16, body: &str) -> io::Result<()> {
+pub fn write_json_response(stream: &mut impl Write, status: u16, body: &str) -> io::Result<()> {
     write_json_response_with(stream, status, &[], body)
 }
 
 /// [`write_json_response`] with extra response headers (e.g.
 /// `Retry-After` on 429/503). Each pair is written as `name: value`.
+/// Head and body go out in one write, so a small response is one
+/// segment on the wire.
 ///
 /// # Errors
 ///
 /// Propagates socket errors.
 pub fn write_json_response_with(
-    stream: &mut TcpStream,
+    stream: &mut impl Write,
     status: u16,
     extra_headers: &[(&str, String)],
     body: &str,
 ) -> io::Result<()> {
-    let mut head = format!(
+    let mut out = Vec::with_capacity(128 + body.len());
+    write!(
+        out,
         "HTTP/1.1 {status} {}\r\ncontent-type: application/json\r\ncontent-length: {}\r\n",
         reason(status),
         body.len()
-    );
+    )?;
     for (name, value) in extra_headers {
-        head.push_str(&format!("{name}: {value}\r\n"));
+        write!(out, "{name}: {value}\r\n")?;
     }
-    head.push_str("connection: close\r\n\r\n");
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
+    out.extend_from_slice(b"connection: close\r\n\r\n");
+    out.extend_from_slice(body.as_bytes());
+    stream.write_all(&out)?;
     stream.flush()
 }
 
 /// A `Transfer-Encoding: chunked` response writer: one
 /// [`chunk`](ChunkedWriter::chunk) per progress event, then
 /// [`finish`](ChunkedWriter::finish) for the terminating zero chunk.
-pub struct ChunkedWriter<'a> {
-    stream: &'a mut TcpStream,
+/// Each call is one write.
+pub struct ChunkedWriter<'a, W: Write> {
+    stream: &'a mut W,
+    buf: Vec<u8>,
 }
 
-impl<'a> ChunkedWriter<'a> {
+impl<'a, W: Write> ChunkedWriter<'a, W> {
     /// Starts a chunked response by writing the response head.
     ///
     /// # Errors
     ///
     /// Propagates socket errors.
-    pub fn start(stream: &'a mut TcpStream, status: u16) -> io::Result<Self> {
+    pub fn start(stream: &'a mut W, status: u16) -> io::Result<Self> {
         let head = format!(
             "HTTP/1.1 {status} {}\r\ncontent-type: application/x-ndjson\r\ntransfer-encoding: chunked\r\nconnection: close\r\n\r\n",
             reason(status),
         );
         stream.write_all(head.as_bytes())?;
         stream.flush()?;
-        Ok(Self { stream })
+        Ok(Self {
+            stream,
+            buf: Vec::new(),
+        })
     }
 
     /// Writes one chunk and flushes it so clients see events live.
@@ -298,7 +373,11 @@ impl<'a> ChunkedWriter<'a> {
     /// Propagates socket errors (a disconnected client ends the
     /// stream).
     pub fn chunk(&mut self, data: &str) -> io::Result<()> {
-        write!(self.stream, "{:x}\r\n{data}\r\n", data.len())?;
+        self.buf.clear();
+        write!(self.buf, "{:x}\r\n", data.len())?;
+        self.buf.extend_from_slice(data.as_bytes());
+        self.buf.extend_from_slice(b"\r\n");
+        self.stream.write_all(&self.buf)?;
         self.stream.flush()
     }
 
@@ -402,5 +481,67 @@ mod tests {
         let mut reader: &[u8] = b"";
         let eof = read_bounded_line(&mut reader, 10, HeadTooLarge::HeaderLine, &mut buf);
         assert_eq!(eof.unwrap(), None);
+    }
+
+    /// Records every `write` call: on a socket, each one is a syscall
+    /// and, with `TCP_NODELAY`, its own segment.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_response_is_one_write_and_a_chunk_is_one_write() {
+        let mut out = CountingWriter::default();
+        let retry = [("retry-after", "1".to_string())];
+        write_json_response_with(&mut out, 503, &retry, r#"{"error":"busy"}"#).unwrap();
+        assert_eq!(out.writes, 1);
+        assert_eq!(
+            String::from_utf8(out.bytes).unwrap(),
+            "HTTP/1.1 503 Service Unavailable\r\ncontent-type: application/json\r\n\
+             content-length: 16\r\nretry-after: 1\r\nconnection: close\r\n\r\n\
+             {\"error\":\"busy\"}"
+        );
+
+        let mut out = CountingWriter::default();
+        let mut writer = ChunkedWriter::start(&mut out, 200).unwrap();
+        writer.chunk("{\"event\":\"started\"}\n").unwrap();
+        writer.chunk("{\"event\":\"finished\"}\n").unwrap();
+        writer.finish().unwrap();
+        assert_eq!(out.writes, 4, "head, two chunks, terminator");
+        let text = String::from_utf8(out.bytes).unwrap();
+        assert!(
+            text.ends_with(
+                "\r\n\r\n14\r\n{\"event\":\"started\"}\n\r\n\
+                 15\r\n{\"event\":\"finished\"}\n\r\n0\r\n\r\n"
+            ),
+            "{text}"
+        );
+    }
+
+    #[test]
+    fn a_read_past_the_request_deadline_times_out() {
+        let mut late = Deadline {
+            inner: &b"GET /healthz HTTP/1.1\r\n\r\n"[..],
+            deadline: Instant::now(),
+        };
+        let err = late.read(&mut [0u8; 64]).unwrap_err();
+        assert!(is_timeout(&err), "{err}");
+
+        let request = read_request(&mut &b"GET /healthz?x=1 HTTP/1.1\r\n\r\n"[..]).unwrap();
+        assert_eq!(request.unwrap().path, "/healthz");
     }
 }

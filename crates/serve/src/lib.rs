@@ -12,8 +12,16 @@
 //!
 //! Everything rides on `std::net` — no async runtime, no external HTTP
 //! stack — because determinism and a small test surface matter more
-//! here than connection scale: a co-design job runs for seconds, so
-//! thread-per-connection is the right cost model.
+//! here than connection scale. Connections are served by a bounded pool
+//! of reused handler threads: at most [`http::MAX_HANDLERS`] (64) live
+//! at once, so a connection flood costs bounded memory and the 65th
+//! concurrent connection gets `503` + `Retry-After`; an idle handler
+//! exits after [`http::HANDLER_IDLE_TTL`] (2 s), so the thread count
+//! follows real concurrency. Reusing warm threads, rather than spawning
+//! one per request, is what keeps the short control requests (status,
+//! `/metrics`, `/healthz`) cheap. Request reads and response writes are
+//! bounded in time, so a stalled client gets `408` and frees its
+//! handler.
 //!
 //! # Quick start
 //!
@@ -54,6 +62,7 @@ pub mod http;
 pub mod job;
 pub mod json;
 pub mod metrics;
+mod pool;
 pub mod request;
 pub mod server;
 

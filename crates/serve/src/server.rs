@@ -15,21 +15,24 @@
 //! | GET    | `/metrics`            | `200` counters + latency percentiles + cache stats + store health |
 //! | GET    | `/healthz`            | `200` per-subsystem health: `{"ok":B,"status":"ok|degraded","subsystems":{...}}` |
 //! | POST   | `/admin/shutdown`     | `200`, begins graceful shutdown (body: `{"policy":"drain"\|"cancel"}`, default drain) |
+//! | any    | any                   | `503` + `Retry-After` when every handler is busy: all [`MAX_HANDLERS`](crate::http::MAX_HANDLERS) are serving connections. The accept loop answers before reading the request. |
+//! | any    | any                   | `408` on a stalled request: head and body not received within [`REQUEST_TIMEOUT`] |
 //!
 //! Any request whose head breaks a limit of [`crate::http`] (request
 //! line, header line, header count or total header bytes) gets `431`.
 //! Every error body is `{"error":"<message>"}`.
 
 use crate::http::{
-    read_request, write_json_response, write_json_response_with, ChunkedWriter, HeadTooLarge,
-    Request,
+    is_timeout, read_request, write_json_response, write_json_response_with, ChunkedWriter,
+    HeadTooLarge, Request, REQUEST_TIMEOUT, WRITE_TIMEOUT,
 };
 use crate::job::{CancelOutcome, JobLookup, Scheduler, ServeConfig, ShutdownPolicy, SubmitError};
 use crate::json::Json;
+use crate::pool::HandlerPool;
 use crate::request::job_request_from_body;
 use codesign_faults::FaultAction;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
@@ -40,7 +43,8 @@ fn error_body(message: &str) -> String {
 }
 
 /// Suggested client back-off, in seconds, attached as `Retry-After` to
-/// 429 (queue full) and 503 (shutting down) responses.
+/// 429 (queue full) and 503 (shutting down, or every handler busy)
+/// responses.
 const RETRY_AFTER_SECS: u64 = 1;
 
 /// Coordination between request handlers and the thread that owns the
@@ -139,17 +143,31 @@ impl Server {
             thread::Builder::new()
                 .name("serve-accept".to_string())
                 .spawn(move || {
+                    let pool = HandlerPool::new(move |stream| {
+                        handle_connection(stream, &scheduler, &control)
+                    });
                     for stream in listener.incoming() {
                         if stopping.load(Ordering::Relaxed) {
                             break;
                         }
                         let Ok(stream) = stream else { continue };
-                        let scheduler = Arc::clone(&scheduler);
-                        let control = Arc::clone(&control);
-                        let _ = thread::Builder::new()
-                            .name("serve-conn".to_string())
-                            .spawn(move || handle_connection(stream, &scheduler, &control));
+                        if let Some(mut busy) = pool.dispatch(stream) {
+                            // A fresh socket's send buffer takes this
+                            // small answer whole, so the write cannot
+                            // stall the accept loop. The request goes
+                            // unread; sending FIN before the close
+                            // lets the client read the answer to its
+                            // end rather than hit a reset.
+                            let _ = write_json_response_with(
+                                &mut busy,
+                                503,
+                                &[("retry-after", RETRY_AFTER_SECS.to_string())],
+                                &error_body("every connection handler is busy"),
+                            );
+                            let _ = busy.shutdown(Shutdown::Write);
+                        }
                     }
+                    // Dropping the pool here releases its idle handlers.
                 })
                 .expect("spawn accept loop")
         };
@@ -227,12 +245,19 @@ fn handle_connection(mut stream: TcpStream, scheduler: &Scheduler, control: &Ser
             return;
         }
     }
+    // Responses are written whole, so Nagle's algorithm only delays
+    // them; the timeouts keep a stalled client from pinning a handler.
+    let _ = stream.set_nodelay(true);
+    let _ = stream.set_read_timeout(Some(REQUEST_TIMEOUT));
+    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
     let request = match read_request(&mut stream) {
         Ok(Some(request)) => request,
         Ok(None) => return,
         Err(err) => {
             let status = if HeadTooLarge::of(&err).is_some() {
                 431
+            } else if is_timeout(&err) {
+                408
             } else {
                 400
             };

@@ -299,6 +299,39 @@ fn oversized_request_heads_get_431() {
 }
 
 #[test]
+fn a_stalled_request_gets_408_and_frees_its_handler() {
+    use codesign_serve::http::{read_response, REQUEST_TIMEOUT};
+    use std::io::Write;
+    use std::time::{Duration, Instant};
+    let mut server = Server::start(ServeConfig {
+        executors: 0,
+        ..ServeConfig::default()
+    })
+    .expect("start server");
+
+    // Half a head: no blank line ever ends it.
+    let mut stream = std::net::TcpStream::connect(server.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(REQUEST_TIMEOUT * 4))
+        .expect("set read timeout");
+    stream
+        .write_all(b"GET /healthz HTTP/1.1\r\nhost: stalled\r\n")
+        .expect("send half a head");
+    let sent = Instant::now();
+    let (status, body) = read_response(&mut stream).expect("an answer, not a hang");
+    let waited = sent.elapsed();
+    assert_eq!(status, 408, "{}", String::from_utf8_lossy(&body));
+    assert!(
+        waited >= REQUEST_TIMEOUT - Duration::from_millis(100),
+        "answered after {waited:?}, before the client stalled long enough"
+    );
+
+    let (status, body) = Client::new(server.addr()).get("/healthz").unwrap();
+    assert_eq!(status, 200, "{body}");
+    server.shutdown();
+}
+
+#[test]
 fn sharded_jobs_serve_bytes_identical_to_in_process_jobs() {
     // `codesign-serve` itself is the worker binary: its `main` calls
     // `codesign_shard::maybe_run_worker()` before the server starts.
