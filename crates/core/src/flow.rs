@@ -19,7 +19,7 @@ use crate::checkpoint::FlowCheckpoint;
 use crate::evaluate::{coarse_evaluate_parallel, select_bundles, BundleEvaluation, EvalMethod};
 use crate::observe::{CancelState, CancelToken, FlowEvent, FlowObserver, NullObserver};
 use crate::parallel::{derive_seed, try_parallel_map, Parallelism};
-use crate::search::{scd_search_with_activation, Candidate, ScdConfig};
+use crate::search::{Candidate, ScdConfig, ScdContext};
 use codesign_dnn::builder::DnnBuilder;
 use codesign_dnn::bundle::{enumerate_bundles, Bundle, BundleId};
 use codesign_dnn::quant::Activation;
@@ -35,6 +35,7 @@ use codesign_sim::pipeline::{simulate, AccelConfig};
 use codesign_sim::report::{CacheStats, SimReport};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -64,7 +65,7 @@ pub struct FlowConfig {
     /// Seed of the stochastic search.
     pub seed: u64,
     /// Worker-thread knob: Bundle evaluations, calibrations and SCD
-    /// searches fan out across pooled workers, each work item with a
+    /// work items fan out across pooled workers, each SCD search with a
     /// private SplitMix64-derived seed. `Fixed(1)` is the sequential
     /// legacy path; results are bit-identical for any setting.
     pub parallelism: Parallelism,
@@ -628,13 +629,15 @@ impl CoDesignFlow {
     ///
     /// With `parallelism > 1` the independent stages — coarse Bundle
     /// evaluation, per-Bundle calibration, and the per-(Bundle,
-    /// FPS-target, quantization-arm) SCD searches — fan out over a
-    /// persistent worker pool. Every work item draws a private seed
-    /// derived from [`FlowConfig::seed`] via SplitMix64 and results are
-    /// merged in work-item order, so the output is **bit-identical** to
-    /// a sequential run and independent of thread interleaving. One
-    /// sharded [`EstimateCache`] is shared by all SCD searches — each
-    /// search probes it through an incremental
+    /// quantization-arm) SCD work items, each searching a run of FPS
+    /// targets in order (every target, unless the workers outnumber the
+    /// pairs) — fan out over a persistent worker pool. Every
+    /// (FPS target, Bundle, arm) search draws a private seed derived
+    /// from [`FlowConfig::seed`] via SplitMix64 and results are merged
+    /// in (target, Bundle, arm) order, so the output is
+    /// **bit-identical** to a sequential run and independent of thread
+    /// interleaving. One sharded [`EstimateCache`] is shared by all SCD
+    /// searches — each work item probes it through one incremental
     /// [`EstimatePlan`](codesign_hls::incremental::EstimatePlan), so
     /// parallel work items neither recompute nor contend on a single
     /// lock; its counters are reported in
@@ -821,78 +824,74 @@ impl CoDesignFlow {
             })
             .collect();
 
-        // Step 3: SCD searches, one work item per (FPS target, Bundle,
-        // quantization arm). The scheme Q is a co-design variable
-        // (Table 1): both the 16-bit (Relu) and 8-bit (Relu4) arms are
-        // searched and accuracy arbitrates.
-        struct ScdItem<'a> {
-            ti: usize,
-            fps: f64,
-            bundle: &'a Bundle,
-            estimator: &'a HlsEstimator,
-            arm: u64,
-            activation: Activation,
-        }
-        let mut items: Vec<ScdItem<'_>> = Vec::new();
-        for (ti, &fps) in cfg.targets_fps.iter().enumerate() {
-            for (bundle, estimator) in &estimators {
-                for (arm, activation) in [Activation::Relu, Activation::Relu4]
-                    .into_iter()
-                    .enumerate()
-                {
-                    items.push(ScdItem {
-                        ti,
-                        fps,
-                        bundle,
-                        estimator,
-                        arm: arm as u64,
-                        activation,
-                    });
-                }
-            }
-        }
+        // Step 3: SCD searches, one per (FPS target, Bundle, quantization
+        // arm). The scheme Q is a co-design variable (Table 1): both the
+        // 16-bit (Relu) and 8-bit (Relu4) arms are searched and accuracy
+        // arbitrates.
+        let arms = [Activation::Relu, Activation::Relu4];
+        let pairs: Vec<(&Bundle, &HlsEstimator, u64, Activation)> = estimators
+            .iter()
+            .flat_map(|(bundle, estimator)| {
+                (0u64..)
+                    .zip(arms)
+                    .map(move |(arm, activation)| (bundle, estimator, arm, activation))
+            })
+            .collect();
+        let targets = cfg.targets_fps.len();
+        // A work item searches a run of one pair's targets through one
+        // search context.
+        let items = scd_work_items(pairs.len(), targets, threads);
+        let searches = targets * pairs.len();
+        // Searches are recorded and merged in (target, Bundle, arm) order,
+        // the order of the legacy nested loop.
+        let search_index = |ti: usize, pair: usize| ti * pairs.len() + pair;
         let restored_scd = ckpt.and_then(FlowCheckpoint::take_scd);
         let found: Vec<Vec<Candidate>> = match restored_scd {
-            // The fingerprint check at open pins everything the item
+            // The fingerprint check at open pins everything the search
             // list is derived from, so a restored stage always aligns
-            // with `items`; a short vector (torn record survived the
-            // tag check) falls through to recompute.
-            Some(restored) if restored.len() == items.len() => restored,
+            // with it; a short vector (torn record survived the tag
+            // check) falls through to recompute.
+            Some(restored) if restored.len() == searches => restored,
             _ => {
                 let searched = AtomicUsize::new(0);
-                let found = try_parallel_map(&items, threads, |_, item| {
-                    checkpoint()?;
-                    let target_ms = 1000.0 / item.fps;
-                    let tolerance_ms = target_ms - 1000.0 / (item.fps + cfg.fps_tolerance);
-                    // The stream id depends only on what the item *is*
-                    // (target, Bundle, arm), never on scheduling.
-                    let stream =
-                        ((item.ti as u64) << 32) | ((item.bundle.id().0 as u64) << 8) | item.arm;
-                    let scd = ScdConfig {
-                        latency_target_ms: target_ms,
-                        tolerance_ms,
-                        clock_mhz: cfg.clock_mhz,
-                        candidates: cfg.candidates_per_bundle,
-                        max_iterations: 400,
-                        seed: derive_seed(cfg.seed, stream),
-                    };
-                    let cell = scd_search_with_activation(
-                        item.bundle,
-                        item.estimator,
-                        &self.model,
-                        &scd,
-                        item.activation,
-                    );
-                    observer.on_event(&FlowEvent::ScdSearchFinished {
-                        target_fps: item.fps,
-                        bundle: item.bundle.id().0,
-                        activation: item.activation,
-                        found: cell.len(),
-                        done: searched.fetch_add(1, Ordering::Relaxed) + 1,
-                        total: items.len(),
-                    });
-                    Ok::<_, FlowError>(cell)
+                let per_item = try_parallel_map(&items, threads, |_, (pair, run)| {
+                    let (bundle, estimator, arm, activation) = pairs[*pair];
+                    let mut context = ScdContext::new(bundle, estimator, &self.model, activation);
+                    let mut cells = Vec::with_capacity(run.len());
+                    for ti in run.clone() {
+                        checkpoint()?;
+                        let fps = cfg.targets_fps[ti];
+                        let target_ms = 1000.0 / fps;
+                        let tolerance_ms = target_ms - 1000.0 / (fps + cfg.fps_tolerance);
+                        // The stream id depends only on what the search
+                        // *is* (target, Bundle, arm), never on scheduling.
+                        let stream = ((ti as u64) << 32) | ((bundle.id().0 as u64) << 8) | arm;
+                        let cell = context.search(&ScdConfig {
+                            latency_target_ms: target_ms,
+                            tolerance_ms,
+                            clock_mhz: cfg.clock_mhz,
+                            candidates: cfg.candidates_per_bundle,
+                            max_iterations: 400,
+                            seed: derive_seed(cfg.seed, stream),
+                        });
+                        observer.on_event(&FlowEvent::ScdSearchFinished {
+                            target_fps: fps,
+                            bundle: bundle.id().0,
+                            activation,
+                            found: cell.len(),
+                            done: searched.fetch_add(1, Ordering::Relaxed) + 1,
+                            total: searches,
+                        });
+                        cells.push(cell);
+                    }
+                    Ok::<_, FlowError>(cells)
                 })?;
+                let mut found = vec![Vec::new(); searches];
+                for ((pair, run), cells) in items.into_iter().zip(per_item) {
+                    for (ti, cell) in run.zip(cells) {
+                        found[search_index(ti, pair)] = cell;
+                    }
+                }
                 if let Some(c) = ckpt {
                     c.record_scd(&found).map_err(ckpt_write)?;
                 }
@@ -900,16 +899,12 @@ impl CoDesignFlow {
             }
         };
 
-        // Deterministic merge: item order reproduces the legacy nested
-        // target → Bundle → arm loop exactly.
+        // Deterministic merge in (target, Bundle, arm) order.
         let mut candidates: Vec<(f64, Candidate)> = Vec::new();
         let mut best_per_target: Vec<(f64, Candidate)> = Vec::new();
         for (ti, &fps) in cfg.targets_fps.iter().enumerate() {
-            let target_candidates: Vec<Candidate> = items
-                .iter()
-                .zip(&found)
-                .filter(|(item, _)| item.ti == ti)
-                .flat_map(|(_, cs)| cs.iter().cloned())
+            let target_candidates: Vec<Candidate> = (0..pairs.len())
+                .flat_map(|pair| found[search_index(ti, pair)].iter().cloned())
                 .collect();
             // Best accuracy per target becomes the published design.
             if let Some(best) = target_candidates
@@ -978,6 +973,25 @@ impl CoDesignFlow {
             measured_iou,
         })
     }
+}
+
+/// The SCD work items of a flow with `pairs` (Bundle, quantization arm)
+/// pairs and `targets` FPS targets at `threads` workers, in run order:
+/// each is a pair and the run of its targets that one search context
+/// searches in order. A pair's targets are one item while the pairs
+/// outnumber the workers; with more workers than pairs the runs shrink
+/// until every worker has an item, since an idle worker costs more than
+/// the shared context saves.
+fn scd_work_items(pairs: usize, targets: usize, threads: usize) -> Vec<(usize, Range<usize>)> {
+    let splits = threads.div_ceil(pairs.max(1)).clamp(1, targets.max(1));
+    let run = targets.div_ceil(splits).max(1);
+    (0..pairs)
+        .flat_map(|pair| {
+            (0..targets)
+                .step_by(run)
+                .map(move |first| (pair, first..targets.min(first + run)))
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -1268,6 +1282,142 @@ mod tests {
             .filter(|e| matches!(e, FlowEvent::DesignFinalized { .. }))
             .count();
         assert_eq!(finalized, out.designs.len());
+    }
+
+    #[test]
+    fn one_worker_emits_every_search_once_in_pair_major_order() {
+        let targets = [10.0, 15.0, 20.0];
+        let flow = CoDesignFlow::new(FlowConfig {
+            targets_fps: targets.to_vec(),
+            candidates_per_bundle: 2,
+            coarse_pf_sweep: vec![16],
+            parallelism: Parallelism::Fixed(1),
+            ..FlowConfig::for_device(pynq_z1())
+        });
+        let events = Mutex::new(Vec::new());
+        let sink = |e: &FlowEvent| events.lock().unwrap().push(e.clone());
+        let out = flow.run_observed(&sink, &CancelToken::new()).unwrap();
+        let bundles = out.selected_bundle_ids();
+        let total = targets.len() * bundles.len() * 2;
+        let searches: Vec<(f64, usize, Activation, usize)> = events
+            .into_inner()
+            .unwrap()
+            .into_iter()
+            .filter_map(|e| match e {
+                FlowEvent::ScdSearchFinished {
+                    target_fps,
+                    bundle,
+                    activation,
+                    done,
+                    total: t,
+                    ..
+                } => {
+                    assert_eq!(t, total);
+                    Some((target_fps, bundle, activation, done))
+                }
+                _ => None,
+            })
+            .collect();
+        assert_eq!(searches.len(), total);
+        let done: Vec<usize> = searches.iter().map(|s| s.3).collect();
+        assert_eq!(done, (1..=total).collect::<Vec<_>>());
+        // (Bundle, arm)-major: each pair's targets in order, then the
+        // next pair. This covers every (target, Bundle, arm) once.
+        let mut expected = Vec::new();
+        for &bundle in &bundles {
+            for activation in [Activation::Relu, Activation::Relu4] {
+                for &fps in &targets {
+                    expected.push((fps, bundle, activation));
+                }
+            }
+        }
+        let got: Vec<(f64, usize, Activation)> =
+            searches.iter().map(|&(f, b, a, _)| (f, b, a)).collect();
+        assert_eq!(got, expected);
+    }
+
+    #[test]
+    fn scd_work_items_split_targets_only_for_idle_workers() {
+        let runs = |threads| scd_work_items(10, 3, threads);
+        // Up to one worker per pair: every pair searches all its targets.
+        for threads in [1, 4, 10] {
+            let items = runs(threads);
+            assert_eq!(items.len(), 10);
+            assert!(items.iter().all(|(_, run)| *run == (0..3)));
+        }
+        let pair_runs = |threads| -> Vec<Range<usize>> {
+            runs(threads)
+                .into_iter()
+                .filter(|(pair, _)| *pair == 7)
+                .map(|(_, run)| run)
+                .collect()
+        };
+        assert_eq!(pair_runs(11), vec![0..2, 2..3]);
+        assert_eq!(pair_runs(20), vec![0..2, 2..3]);
+        assert_eq!(pair_runs(21), vec![0..1, 1..2, 2..3]);
+        assert_eq!(pair_runs(64), vec![0..1, 1..2, 2..3]);
+        // Items stay pair-major, so one worker sees the same order.
+        let order: Vec<usize> = runs(64).into_iter().map(|(pair, _)| pair).collect();
+        assert!(order.windows(2).all(|w| w[0] <= w[1]));
+        assert!(scd_work_items(0, 3, 8).is_empty());
+        assert!(scd_work_items(4, 0, 8).is_empty());
+    }
+
+    #[test]
+    fn split_scd_items_keep_the_output_and_every_search() {
+        let targets = [10.0, 15.0, 20.0];
+        let run_with = |threads: usize| {
+            let flow = CoDesignFlow::new(FlowConfig {
+                targets_fps: targets.to_vec(),
+                candidates_per_bundle: 2,
+                coarse_pf_sweep: vec![16],
+                parallelism: Parallelism::Fixed(threads),
+                ..FlowConfig::for_device(pynq_z1())
+            });
+            let events = Mutex::new(Vec::new());
+            let sink = |e: &FlowEvent| {
+                if let FlowEvent::ScdSearchFinished {
+                    target_fps,
+                    bundle,
+                    activation,
+                    ..
+                } = *e
+                {
+                    events
+                        .lock()
+                        .unwrap()
+                        .push((target_fps, bundle, activation));
+                }
+            };
+            let out = flow.run_observed(&sink, &CancelToken::new()).unwrap();
+            (out, events.into_inner().unwrap())
+        };
+        let (seq, _) = run_with(1);
+        let pairs = 2 * seq.selected_bundles.len();
+        // One worker more than the pairs splits each pair's targets in
+        // two runs; twice as many, in one run per target.
+        for threads in [pairs + 1, 2 * pairs + 1] {
+            let (par, searches) = run_with(threads);
+            assert_eq!(seq.candidates, par.candidates);
+            assert_eq!(seq.cache_stats.total(), par.cache_stats.total());
+            assert_eq!(seq.designs.len(), par.designs.len());
+            for (a, b) in seq.designs.iter().zip(&par.designs) {
+                assert_eq!(a.point, b.point);
+                assert_eq!(a.code, b.code);
+            }
+            assert_eq!(searches.len(), targets.len() * pairs);
+            for &bundle in &seq.selected_bundle_ids() {
+                for activation in [Activation::Relu, Activation::Relu4] {
+                    for &fps in &targets {
+                        let n = searches
+                            .iter()
+                            .filter(|s| **s == (fps, bundle, activation))
+                            .count();
+                        assert_eq!(n, 1, "{fps} FPS, Bundle {bundle}, {activation:?}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -19,7 +19,11 @@
 //!
 //! Event *ordering within one stage* is a scheduling artifact (worker
 //! threads race to finish items); the per-event `done`/`total` counters
-//! are the monotone progress signal to surface to users.
+//! are the monotone progress signal to surface to users. At one worker
+//! the order is fixed: [`FlowEvent::ScdSearchFinished`] events come
+//! (Bundle, arm)-major, every target of one (Bundle, quantization arm)
+//! pair in target order before the next pair, because a pair's targets
+//! share one search context and run as one work item.
 
 use codesign_dnn::quant::Activation;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -66,7 +70,8 @@ impl Default for TokenInner {
 /// every clone observes it. The flow checks the token **between** work
 /// items (a Bundle calibration, one SCD search, one design
 /// finalization), so cancellation — and deadline — latency is bounded
-/// by the longest single work item, not the whole flow.
+/// by the longest single work item, not the whole flow. (An SCD work
+/// item searches several targets and checks the token before each.)
 ///
 /// ```
 /// use codesign_core::observe::CancelToken;
@@ -163,8 +168,9 @@ pub enum FlowEvent {
         /// Total calibrations this run.
         total: usize,
     },
-    /// One SCD search work item — a (FPS target, Bundle, quantization
-    /// arm) cell — completed.
+    /// One SCD search — a (FPS target, Bundle, quantization arm) cell —
+    /// completed. A work item searches every target of one (Bundle,
+    /// arm) pair and emits one event per target.
     ScdSearchFinished {
         /// FPS target of the finished cell.
         target_fps: f64,

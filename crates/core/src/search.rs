@@ -14,18 +14,23 @@
 //! coordinate, every probe is priced through the incremental
 //! [`EstimatePlan`] — the DNN is elaborated once per accepted
 //! trajectory, not once per probe — with results bit-identical to the
-//! full analytic rebuild.
+//! full analytic rebuild. The searches of one (Bundle, quantization
+//! arm) pair share that plan through one search context, and a search
+//! replays the steps it has taken before from a graph of its visited
+//! states instead of probing them again.
 
 use crate::accuracy::AccuracyModel;
 use codesign_dnn::builder::DnnBuilder;
 use codesign_dnn::bundle::Bundle;
+use codesign_dnn::quant::Activation;
 use codesign_dnn::space::{DesignPoint, MAX_PARALLEL_FACTOR, PARALLEL_FACTOR_STEP};
 use codesign_hls::incremental::{EstimatePlan, LookupTally, MoveCoord};
 use codesign_hls::model::{Estimate, HlsEstimator};
+use codesign_sim::report::ResourceUsage;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
 /// Configuration of one SCD run.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -133,28 +138,16 @@ pub fn scd_search(
     model: &AccuracyModel,
     cfg: &ScdConfig,
 ) -> Vec<Candidate> {
-    scd_search_with_activation(
-        bundle,
-        estimator,
-        model,
-        cfg,
-        codesign_dnn::quant::Activation::Relu,
-    )
+    scd_search_with_activation(bundle, estimator, model, cfg, Activation::Relu)
 }
 
 /// Deepest restart landing: a stuck search restarts from
 /// `DesignPoint::initial(bundle, n)` with `n` drawn from `1..=6`.
 const MAX_RESTART_DEPTH: usize = 6;
 
-/// Where a restart to depth `n` landed, recorded the first time the
-/// search restarts there: the point with its maximal PF, the probe of
-/// that point, and the cache lookups the PF ladder and probe counted.
-#[derive(Debug)]
-struct Landing {
-    point: DesignPoint,
-    estimate: Option<Estimate>,
-    tally: LookupTally,
-}
+/// Depth of DNN initialization (Sec. 5.2.1): a search starts where a
+/// restart to this depth lands.
+const START_DEPTH: usize = 3;
 
 /// Runs the SCD unit with an explicit activation / quantization arm
 /// (the co-design variable `Q` of Table 1).
@@ -162,171 +155,353 @@ struct Landing {
 /// Every probe goes through an incremental [`EstimatePlan`] instead of
 /// rebuilding a DNN per query: the plan elaborates the current point
 /// once and re-derives only the pipeline groups a unit move touches,
-/// bit-identical to the full model (so results — and, estimator cache
-/// attached, the deterministic lookup count — are unchanged from the
-/// rebuild-per-probe implementation).
+/// bit-identical to the full model. The flow searches the FPS targets
+/// of a (Bundle, arm) pair through one such plan; this function is one
+/// search with a plan of its own.
 ///
-/// Restarts are replayed. A stuck search restarts from
-/// `DesignPoint::initial(bundle, n)` with `n` in `1..=6`, so within one
-/// search the landing (PF-ladder choice and probe) depends only on the
-/// depth. The first restart to a depth runs the ladder and records its
-/// landing; a repeat takes the recorded point and estimate, and counts
-/// the recorded [`LookupTally`] on the cache through
-/// [`EstimateCache::record_hits`](codesign_hls::cache::EstimateCache::record_hits).
-/// Re-running the ladder would answer every probe from the plan's memo,
-/// so it would count exactly those hits: the lookup totals, hits and
-/// store hits are unchanged.
+/// The search keeps a graph of the SCD states it has visited. A state
+/// is a (point, estimate) pair, not a point, because a restart whose
+/// landing probe fails moves the point but keeps the old estimate.
+/// Each node holds what stepping from it needs: whether it lies in the
+/// target window, the unit moves that change latency, and one outgoing
+/// edge per RNG draw (a perturbation, a scaled move or a restart) with
+/// the [`LookupTally`] its probes counted. A revisited state draws the
+/// same RNG values as before, follows the recorded edge and counts the
+/// recorded tallies through
+/// [`EstimateCache::record_hits`](codesign_hls::cache::EstimateCache::record_hits)
+/// without probing. Re-probing would answer every probe from the
+/// plan's memo with the same store provenance, so results and,
+/// estimator cache attached, the lookup totals, hits, misses and store
+/// hits are exactly those of pricing every probe through
+/// [`HlsEstimator::estimate_point`].
 pub fn scd_search_with_activation(
     bundle: &Bundle,
     estimator: &HlsEstimator,
     model: &AccuracyModel,
     cfg: &ScdConfig,
-    activation: codesign_dnn::quant::Activation,
+    activation: Activation,
 ) -> Vec<Candidate> {
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let builder = DnnBuilder::new();
+    ScdContext::new(bundle, estimator, model, activation).search(cfg)
+}
 
-    // DNN initialization (Sec. 5.2.1) + maximum-PF selection. The run
-    // owns ONE plan: PF-ladder selection, every probe, and every
-    // restart reuse it — the initial elaboration here is the only
-    // from-scratch one in the whole search.
-    let mut point = DesignPoint::initial(bundle.clone(), 3);
-    point.activation = activation;
+/// The search context of one (Bundle, quantization arm) pair: the flow
+/// searches a pair's FPS targets through one context, in target order
+/// (a run of them per context when the workers outnumber the pairs).
+///
+/// The context owns one incremental [`EstimatePlan`]. Its probe memo
+/// and interned slot bodies serve every search of the pair. Where a
+/// restart to depth `n` lands (`DesignPoint::initial(bundle, n)` at its
+/// maximal PF, and that point's estimate) depends only on the pair and
+/// `n`, so once the pair has landed there the memo answers the whole PF
+/// ladder. A search starts at the landing of depth 3, the
+/// `DesignPoint::initial(bundle, 3)` of DNN initialization. Each search
+/// replays its own revisited states from a graph, as
+/// [`scd_search_with_activation`] describes; a restart is an edge like
+/// any other, so the graph is the one replay mechanism.
+pub(crate) struct ScdContext<'a> {
+    bundle: &'a Bundle,
+    estimator: &'a HlsEstimator,
+    model: &'a AccuracyModel,
+    activation: Activation,
+    builder: DnnBuilder,
+    /// `None` when the initial point does not elaborate: every search
+    /// of the pair is then empty.
+    plan: Option<EstimatePlan>,
+}
 
-    let mut candidates: Vec<Candidate> = Vec::new();
-    let mut seen: HashSet<Vec<u8>> = HashSet::new();
-
-    let Ok(mut plan) = EstimatePlan::new(estimator, &point) else {
-        return candidates;
-    };
-    point.parallel_factor = choose_max_parallel_factor_with(&plan, &point);
-
-    // One logical cache lookup per priced point, exactly like the old
-    // `estimate_point`-per-probe loop; `plan.commit_probed` (accepted
-    // moves only) adopts the probe's result without touching the cache.
-    let Ok(mut est) = plan.probe(&point) else {
-        return candidates;
-    };
-    plan.commit_probed(&point, est);
-    let mut lat = est.latency_ms(cfg.clock_mhz);
-
-    // Every move is re-derived into this scratch point (`clone_from`
-    // reuses its buffers) and swapped in when accepted, so the loop
-    // does not allocate per probe.
-    let mut moved = point.clone();
-    let mut deltas: Vec<(MoveCoord, isize, f64)> = Vec::with_capacity(3);
-    let mut landings: [Option<Landing>; MAX_RESTART_DEPTH] = Default::default();
-
-    for _iter in 0..cfg.max_iterations {
-        if candidates.len() >= cfg.candidates {
-            break;
-        }
-        let gap = cfg.latency_target_ms - lat;
-        if gap.abs() < cfg.tolerance_ms && estimator.fits(&est) {
-            // Dedupe before elaborating: most in-window iterations
-            // revisit a design already collected.
-            if seen.insert(point.canonical_key()) {
-                let dnn = builder.build(&point).expect("estimated points build");
-                candidates.push(Candidate {
-                    accuracy: model.estimate(&point, &dnn),
-                    point: point.clone(),
-                    estimate: est,
-                    latency_ms: lat,
-                });
-            }
-            // Perturb to hunt for the next distinct candidate.
-            let coord = match rng.random_range(0..3u8) {
-                0 => MoveCoord::Replications,
-                1 => MoveCoord::Expansion,
-                _ => MoveCoord::Downsampling,
-            };
-            let dir = if rng.random_bool(0.5) { 1 } else { -1 };
-            moved.clone_from(&point);
-            coord.apply(&mut moved, dir);
-            if let Ok(e2) = plan.probe(&moved) {
-                plan.commit_probed(&moved, e2);
-                std::mem::swap(&mut point, &mut moved);
-                est = e2;
-                lat = e2.latency_ms(cfg.clock_mhz);
-            }
-            continue;
-        }
-
-        // Unit moves in the direction that closes the gap: positive gap
-        // (target above latency) means the design may grow.
-        let grow = gap > 0.0;
-        let unit: isize = if grow { 1 } else { -1 };
-        // Down-sampling acts inversely: more down-sampling -> faster.
-        let coords = [
-            (MoveCoord::Replications, unit),
-            (MoveCoord::Expansion, unit),
-            (MoveCoord::Downsampling, -unit),
-        ];
-        deltas.clear();
-        for &(coord, dir) in &coords {
-            moved.clone_from(&point);
-            coord.apply(&mut moved, dir);
-            if moved == point {
-                continue; // saturated coordinate
-            }
-            if let Ok(e2) = plan.probe(&moved) {
-                let dlat = e2.latency_ms(cfg.clock_mhz) - lat;
-                if dlat.abs() > f64::EPSILON {
-                    deltas.push((coord, dir, dlat));
-                }
-            }
-        }
-        if deltas.is_empty() {
-            // No coordinate can move: restart from a fresh random depth.
-            let n = rng.random_range(1..=MAX_RESTART_DEPTH);
-            let landing = match &mut landings[n - 1] {
-                Some(landing) => {
-                    if let Some(cache) = estimator.cache() {
-                        cache.record_hits(landing.tally.lookups, landing.tally.store_flagged);
-                    }
-                    landing
-                }
-                empty => {
-                    // The plan rebases lazily: a miss below stages
-                    // against the lagging slot base (bit-identical by
-                    // contract).
-                    let before = plan.lookup_tally();
-                    let mut landed = DesignPoint::initial(bundle.clone(), n);
-                    landed.activation = activation;
-                    landed.parallel_factor = choose_max_parallel_factor_with(&plan, &landed);
-                    let estimate = plan.probe(&landed).ok();
-                    empty.insert(Landing {
-                        point: landed,
-                        estimate,
-                        tally: plan.lookup_tally() - before,
-                    })
-                }
-            };
-            point.clone_from(&landing.point);
-            if let Some(e2) = landing.estimate {
-                plan.commit_probed(&point, e2);
-                est = e2;
-                lat = e2.latency_ms(cfg.clock_mhz);
-            }
-            continue;
-        }
-
-        // Pick one coordinate uniformly at random (the "stochastic" in
-        // SCD) and scale the move: Δ = ⌊|Lat_targ − Lat| / ΔLat⌋.
-        let (coord, dir, dlat) = deltas[rng.random_range(0..deltas.len())];
-        let steps = ((gap.abs() / dlat.abs()).floor() as isize).clamp(1, 4);
-        moved.clone_from(&point);
-        coord.apply(&mut moved, dir * steps);
-        if let Ok(e2) = plan.probe(&moved) {
-            if estimator.fits(&e2) || e2.resources.dsp <= est.resources.dsp {
-                plan.commit_probed(&moved, e2);
-                std::mem::swap(&mut point, &mut moved);
-                est = e2;
-                lat = e2.latency_ms(cfg.clock_mhz);
-            }
+impl<'a> ScdContext<'a> {
+    /// A context for `bundle` under `activation`. The initial point is
+    /// elaborated here, the only from-scratch elaboration of the pair.
+    pub(crate) fn new(
+        bundle: &'a Bundle,
+        estimator: &'a HlsEstimator,
+        model: &'a AccuracyModel,
+        activation: Activation,
+    ) -> Self {
+        let mut start = DesignPoint::initial(bundle.clone(), START_DEPTH);
+        start.activation = activation;
+        Self {
+            bundle,
+            estimator,
+            model,
+            activation,
+            builder: DnnBuilder::new(),
+            plan: EstimatePlan::new(estimator, &start).ok(),
         }
     }
-    candidates
+
+    /// Runs the SCD unit (Algorithm 1) for one latency target and seed.
+    /// The result does not depend on which searches the context ran
+    /// before.
+    pub(crate) fn search(&mut self, cfg: &ScdConfig) -> Vec<Candidate> {
+        let mut replayed = LookupTally::default();
+        let found = self.walk(cfg, &mut replayed);
+        if let Some(cache) = self.estimator.cache() {
+            cache.record_hits(replayed.lookups, replayed.store_flagged);
+        }
+        found
+    }
+
+    /// Where a restart to depth `n` lands: the initial point of that
+    /// depth at its maximal PF, and the probe of that point.
+    fn land(plan: &EstimatePlan, bundle: &Bundle, activation: Activation, n: usize) -> Landed {
+        let mut point = DesignPoint::initial(bundle.clone(), n);
+        point.activation = activation;
+        point.parallel_factor = choose_max_parallel_factor_with(plan, &point);
+        let estimate = plan.probe(&point).ok();
+        (point, estimate)
+    }
+
+    /// The SCD loop over the visited-state graph. Lookups that edges and
+    /// nodes replay are added to `replayed` rather than counted.
+    fn walk(&mut self, cfg: &ScdConfig, replayed: &mut LookupTally) -> Vec<Candidate> {
+        let mut candidates: Vec<Candidate> = Vec::new();
+        let Some(plan) = self.plan.as_mut() else {
+            return candidates;
+        };
+        let (bundle, activation) = (self.bundle, self.activation);
+        let estimator = self.estimator;
+        let mut rng = StdRng::seed_from_u64(cfg.seed);
+
+        let (start, estimate) = Self::land(plan, bundle, activation, START_DEPTH);
+        let Some(estimate) = estimate else {
+            return candidates;
+        };
+        plan.commit_probed(&start, estimate);
+        let mut graph = StateGraph::default();
+        let mut at = graph.node(&start, estimate);
+
+        // Probe points are re-derived into this scratch point
+        // (`clone_from` reuses its buffers); only a new state copies it.
+        let mut moved = start;
+        for _iter in 0..cfg.max_iterations {
+            if candidates.len() >= cfg.candidates {
+                break;
+            }
+            let est = graph.nodes[at].estimate;
+            let lat = est.latency_ms(cfg.clock_mhz);
+            let gap = cfg.latency_target_ms - lat;
+            match &graph.nodes[at].step {
+                Some(Step::Descend { probes, .. }) => *replayed += *probes,
+                Some(Step::Window) => {}
+                None => {
+                    let point = &graph.nodes[at].point;
+                    let step = if gap.abs() < cfg.tolerance_ms && estimator.fits(&est) {
+                        // Collected on the first step from the state: a
+                        // revisit finds its point among the candidates.
+                        if !candidates.iter().any(|c| c.point == *point) {
+                            let dnn = self.builder.build(point).expect("estimated points build");
+                            candidates.push(Candidate {
+                                accuracy: self.model.estimate(point, &dnn),
+                                point: point.clone(),
+                                estimate: est,
+                                latency_ms: lat,
+                            });
+                        }
+                        Step::Window
+                    } else {
+                        // Unit moves in the direction that closes the
+                        // gap: positive gap (target above latency) means
+                        // the design may grow. Down-sampling acts
+                        // inversely: more down-sampling -> faster.
+                        let unit: isize = if gap > 0.0 { 1 } else { -1 };
+                        let before = plan.lookup_tally();
+                        let mut deltas = Vec::with_capacity(3);
+                        for (coord, dir) in [
+                            (MoveCoord::Replications, unit),
+                            (MoveCoord::Expansion, unit),
+                            (MoveCoord::Downsampling, -unit),
+                        ] {
+                            moved.clone_from(point);
+                            coord.apply(&mut moved, dir);
+                            if moved == *point {
+                                continue; // saturated coordinate
+                            }
+                            if let Ok(e2) = plan.probe(&moved) {
+                                let dlat = e2.latency_ms(cfg.clock_mhz) - lat;
+                                if dlat.abs() > f64::EPSILON {
+                                    deltas.push((coord, dir, dlat));
+                                }
+                            }
+                        }
+                        Step::Descend {
+                            deltas,
+                            probes: plan.lookup_tally() - before,
+                        }
+                    };
+                    graph.nodes[at].step = Some(step);
+                }
+            }
+
+            // Draw exactly what the step from this state draws, and name
+            // the outgoing edge by the draw.
+            let (draw, action) = match graph.nodes[at].step.as_ref().expect("stepped") {
+                Step::Window => {
+                    // Perturb to hunt for the next distinct candidate.
+                    let c = rng.random_range(0..3u8);
+                    let up = rng.random_bool(0.5);
+                    let coord = match c {
+                        0 => MoveCoord::Replications,
+                        1 => MoveCoord::Expansion,
+                        _ => MoveCoord::Downsampling,
+                    };
+                    let edge = 2 * usize::from(c) + usize::from(up);
+                    (edge, Action::Perturb(coord, if up { 1 } else { -1 }))
+                }
+                Step::Descend { deltas, .. } if deltas.is_empty() => {
+                    // No coordinate can move: restart from a fresh
+                    // random depth.
+                    let n = rng.random_range(1..=MAX_RESTART_DEPTH);
+                    (n - 1, Action::Restart(n))
+                }
+                Step::Descend { deltas, .. } => {
+                    // Pick one coordinate uniformly at random (the
+                    // "stochastic" in SCD) and scale the move:
+                    // Δ = ⌊|Lat_targ − Lat| / ΔLat⌋.
+                    let i = rng.random_range(0..deltas.len());
+                    let (coord, dir, dlat) = deltas[i];
+                    let steps = ((gap.abs() / dlat.abs()).floor() as isize).clamp(1, 4);
+                    (i, Action::Move(coord, dir * steps))
+                }
+            };
+            if let Some(edge) = graph.nodes[at].edges[draw] {
+                *replayed += edge.tally;
+                at = edge.to;
+                continue;
+            }
+
+            // First step along this edge: probe, and record where it led.
+            let before = plan.lookup_tally();
+            let next = match action {
+                Action::Perturb(coord, dir) | Action::Move(coord, dir) => {
+                    moved.clone_from(&graph.nodes[at].point);
+                    coord.apply(&mut moved, dir);
+                    let accepted = plan.probe(&moved).ok().filter(|e2| {
+                        matches!(action, Action::Perturb(..))
+                            || estimator.fits(e2)
+                            || e2.resources.dsp <= est.resources.dsp
+                    });
+                    if let Some(e2) = accepted {
+                        plan.commit_probed(&moved, e2);
+                    }
+                    accepted
+                }
+                Action::Restart(n) => {
+                    let (landed, estimate) = Self::land(plan, bundle, activation, n);
+                    moved = landed;
+                    if let Some(e2) = estimate {
+                        plan.commit_probed(&moved, e2);
+                    }
+                    // A failed landing probe moves the point and keeps
+                    // the estimate.
+                    Some(estimate.unwrap_or(est))
+                }
+            };
+            let tally = plan.lookup_tally() - before;
+            let to = match next {
+                Some(e2) => graph.node(&moved, e2),
+                None => at,
+            };
+            graph.nodes[at].edges[draw] = Some(Edge { to, tally });
+            at = to;
+        }
+        candidates
+    }
+}
+
+/// A restart landing: the point and its probe (`None` when it failed).
+type Landed = (DesignPoint, Option<Estimate>);
+
+/// What one step from a state does, before it is probed.
+#[derive(Debug, Clone, Copy)]
+enum Action {
+    /// In the window: a unit move along `coord`, accepted if it prices.
+    Perturb(MoveCoord, isize),
+    /// Outside it: a scaled move, accepted if it prices and fits or
+    /// does not add DSPs.
+    Move(MoveCoord, isize),
+    /// No coordinate moves latency: restart at this depth.
+    Restart(usize),
+}
+
+/// How the search steps from a state, fixed on the first step.
+#[derive(Debug)]
+enum Step {
+    /// In the latency window and inside the budget: the state is
+    /// collected, and each step perturbs it.
+    Window,
+    /// Outside the window: the unit moves that change latency, and the
+    /// lookups their probes counted, replayed on every later step from
+    /// the state.
+    Descend {
+        deltas: Vec<(MoveCoord, isize, f64)>,
+        probes: LookupTally,
+    },
+}
+
+/// Where a recorded step led, and the lookups its probes counted.
+#[derive(Debug, Clone, Copy)]
+struct Edge {
+    to: usize,
+    tally: LookupTally,
+}
+
+/// Outgoing edges of a state: one per possible draw, the most of six
+/// perturbations (three coordinates, two directions), three moves and
+/// [`MAX_RESTART_DEPTH`] restarts.
+const EDGES: usize = 6;
+const _: () = assert!(MAX_RESTART_DEPTH <= EDGES);
+
+/// A visited SCD state.
+#[derive(Debug)]
+struct Node {
+    point: DesignPoint,
+    estimate: Estimate,
+    step: Option<Step>,
+    /// Outgoing edges by draw: in the window `2·coord + up`, outside it
+    /// the chosen move's index, or the restart depth minus one.
+    edges: [Option<Edge>; EDGES],
+}
+
+/// The states one search has visited, indexed by the point's canonical
+/// words followed by the estimate's.
+#[derive(Debug, Default)]
+struct StateGraph {
+    nodes: Vec<Node>,
+    index: HashMap<Vec<u64>, usize>,
+    key: Vec<u64>,
+}
+
+impl StateGraph {
+    /// The id of state (`point`, `estimate`), added if new.
+    fn node(&mut self, point: &DesignPoint, estimate: Estimate) -> usize {
+        self.key.clear();
+        point.encode_canonical(&mut |w| self.key.push(w));
+        // Destructured so that a new estimate field cannot be left out.
+        let Estimate {
+            latency_cycles,
+            resources:
+                ResourceUsage {
+                    dsp,
+                    lut,
+                    ff,
+                    bram_18k,
+                },
+        } = estimate;
+        self.key.extend([latency_cycles, dsp, lut, ff, bram_18k]);
+        if let Some(&id) = self.index.get(self.key.as_slice()) {
+            return id;
+        }
+        let id = self.nodes.len();
+        self.index.insert(self.key.clone(), id);
+        self.nodes.push(Node {
+            point: point.clone(),
+            estimate,
+            step: None,
+            edges: [None; EDGES],
+        });
+        id
+    }
 }
 
 /// Random-search baseline for the SCD ablation: samples design points
@@ -393,13 +568,273 @@ pub fn random_search(
 mod tests {
     use super::*;
     use codesign_dnn::bundle::{bundle_by_id, BundleId};
+    use codesign_hls::cache::EstimateCache;
     use codesign_hls::calibrate::calibrate_bundle;
     use codesign_sim::device::pynq_z1;
+    use proptest::prelude::*;
+    use std::sync::{Arc, OnceLock};
 
     fn estimator(id: usize) -> (Bundle, HlsEstimator) {
         let b = bundle_by_id(BundleId(id)).unwrap();
         let params = calibrate_bundle(&b, &pynq_z1()).unwrap();
         (b, HlsEstimator::new(params, pynq_z1()))
+    }
+
+    /// The per-target SCD loop that [`ScdContext`] replaced, kept as its
+    /// oracle: a fresh plan per search, restart landings replayed per
+    /// depth, and every other step probed.
+    fn reference_scd(
+        bundle: &Bundle,
+        estimator: &HlsEstimator,
+        model: &AccuracyModel,
+        cfg: &ScdConfig,
+        activation: Activation,
+    ) -> Vec<Candidate> {
+        let mut rng = StdRng::seed_from_u64(cfg.seed);
+        let builder = DnnBuilder::new();
+        let mut point = DesignPoint::initial(bundle.clone(), START_DEPTH);
+        point.activation = activation;
+        let mut candidates: Vec<Candidate> = Vec::new();
+        let mut seen: HashSet<Vec<u8>> = HashSet::new();
+        let Ok(mut plan) = EstimatePlan::new(estimator, &point) else {
+            return candidates;
+        };
+        point.parallel_factor = choose_max_parallel_factor_with(&plan, &point);
+        let Ok(mut est) = plan.probe(&point) else {
+            return candidates;
+        };
+        plan.commit_probed(&point, est);
+        let mut lat = est.latency_ms(cfg.clock_mhz);
+        let mut moved = point.clone();
+        let mut deltas: Vec<(MoveCoord, isize, f64)> = Vec::with_capacity(3);
+        // Per depth: the landing point, its probe, and the lookups the
+        // PF ladder and probe counted.
+        let mut landings: [Option<(DesignPoint, Option<Estimate>, LookupTally)>;
+            MAX_RESTART_DEPTH] = Default::default();
+
+        for _iter in 0..cfg.max_iterations {
+            if candidates.len() >= cfg.candidates {
+                break;
+            }
+            let gap = cfg.latency_target_ms - lat;
+            if gap.abs() < cfg.tolerance_ms && estimator.fits(&est) {
+                if seen.insert(point.canonical_key()) {
+                    let dnn = builder.build(&point).expect("estimated points build");
+                    candidates.push(Candidate {
+                        accuracy: model.estimate(&point, &dnn),
+                        point: point.clone(),
+                        estimate: est,
+                        latency_ms: lat,
+                    });
+                }
+                let coord = match rng.random_range(0..3u8) {
+                    0 => MoveCoord::Replications,
+                    1 => MoveCoord::Expansion,
+                    _ => MoveCoord::Downsampling,
+                };
+                let dir = if rng.random_bool(0.5) { 1 } else { -1 };
+                moved.clone_from(&point);
+                coord.apply(&mut moved, dir);
+                if let Ok(e2) = plan.probe(&moved) {
+                    plan.commit_probed(&moved, e2);
+                    std::mem::swap(&mut point, &mut moved);
+                    est = e2;
+                    lat = e2.latency_ms(cfg.clock_mhz);
+                }
+                continue;
+            }
+            let unit: isize = if gap > 0.0 { 1 } else { -1 };
+            let coords = [
+                (MoveCoord::Replications, unit),
+                (MoveCoord::Expansion, unit),
+                (MoveCoord::Downsampling, -unit),
+            ];
+            deltas.clear();
+            for &(coord, dir) in &coords {
+                moved.clone_from(&point);
+                coord.apply(&mut moved, dir);
+                if moved == point {
+                    continue;
+                }
+                if let Ok(e2) = plan.probe(&moved) {
+                    let dlat = e2.latency_ms(cfg.clock_mhz) - lat;
+                    if dlat.abs() > f64::EPSILON {
+                        deltas.push((coord, dir, dlat));
+                    }
+                }
+            }
+            if deltas.is_empty() {
+                let n = rng.random_range(1..=MAX_RESTART_DEPTH);
+                let landing = match &mut landings[n - 1] {
+                    Some(landing) => {
+                        if let Some(cache) = estimator.cache() {
+                            cache.record_hits(landing.2.lookups, landing.2.store_flagged);
+                        }
+                        landing
+                    }
+                    empty => {
+                        let before = plan.lookup_tally();
+                        let mut landed = DesignPoint::initial(bundle.clone(), n);
+                        landed.activation = activation;
+                        landed.parallel_factor = choose_max_parallel_factor_with(&plan, &landed);
+                        let estimate = plan.probe(&landed).ok();
+                        empty.insert((landed, estimate, plan.lookup_tally() - before))
+                    }
+                };
+                point.clone_from(&landing.0);
+                if let Some(e2) = landing.1 {
+                    plan.commit_probed(&point, e2);
+                    est = e2;
+                    lat = e2.latency_ms(cfg.clock_mhz);
+                }
+                continue;
+            }
+            let (coord, dir, dlat) = deltas[rng.random_range(0..deltas.len())];
+            let steps = ((gap.abs() / dlat.abs()).floor() as isize).clamp(1, 4);
+            moved.clone_from(&point);
+            coord.apply(&mut moved, dir * steps);
+            if let Ok(e2) = plan.probe(&moved) {
+                if estimator.fits(&e2) || e2.resources.dsp <= est.resources.dsp {
+                    plan.commit_probed(&moved, e2);
+                    std::mem::swap(&mut point, &mut moved);
+                    est = e2;
+                    lat = e2.latency_ms(cfg.clock_mhz);
+                }
+            }
+        }
+        candidates
+    }
+
+    /// Calibrated estimators of all 18 Bundles, built once per process.
+    fn all_estimators() -> &'static [(Bundle, HlsEstimator)] {
+        static ALL: OnceLock<Vec<(Bundle, HlsEstimator)>> = OnceLock::new();
+        ALL.get_or_init(|| (1..=18).map(estimator).collect())
+    }
+
+    /// How the estimator caches of a comparison start.
+    #[derive(Debug, Clone, Copy)]
+    enum CacheMode {
+        /// No cache attached.
+        Absent,
+        /// An empty cache.
+        Fresh,
+        /// Every other entry of an earlier search, preloaded as if from
+        /// a persistent store.
+        Preloaded,
+    }
+
+    fn scd_config(fps: f64, fps_tolerance: f64, seed: u64) -> ScdConfig {
+        let target_ms = 1000.0 / fps;
+        ScdConfig {
+            latency_target_ms: target_ms,
+            tolerance_ms: target_ms - 1000.0 / (fps + fps_tolerance),
+            clock_mhz: 100.0,
+            candidates: 5,
+            max_iterations: 400,
+            seed,
+        }
+    }
+
+    /// Searches `targets` in order through one context and through the
+    /// reference on twin caches, and checks they agree after each target
+    /// on candidates, cache counters and store hits.
+    fn check_context_matches_reference(
+        id: usize,
+        activation: Activation,
+        targets: &[(f64, f64)],
+        seed: u64,
+        mode: CacheMode,
+    ) -> Result<(), proptest::test_runner::TestCaseError> {
+        let (bundle, base) = &all_estimators()[id - 1];
+        let model = AccuracyModel::paper_calibrated();
+        let twins = match mode {
+            CacheMode::Absent => None,
+            CacheMode::Fresh => Some((EstimateCache::new(), EstimateCache::new())),
+            CacheMode::Preloaded => {
+                let earlier = Arc::new(EstimateCache::new());
+                let est = base.clone().with_cache(Arc::clone(&earlier));
+                let cfg = scd_config(targets[0].0 * 0.8, 2.0, seed ^ 0x5eed);
+                reference_scd(bundle, &est, &model, &cfg, activation);
+                let (a, b) = (EstimateCache::new(), EstimateCache::new());
+                for (key, value) in earlier.snapshot_ok().into_iter().step_by(2) {
+                    prop_assert!(a.preload(&key, value) && b.preload(&key, value));
+                }
+                Some((a, b))
+            }
+        };
+        let (ours, theirs) = match twins {
+            Some((a, b)) => {
+                let (a, b) = (Arc::new(a), Arc::new(b));
+                (
+                    base.clone().with_cache(Arc::clone(&a)),
+                    base.clone().with_cache(Arc::clone(&b)),
+                )
+            }
+            None => (base.clone(), base.clone()),
+        };
+        let mut context = ScdContext::new(bundle, &ours, &model, activation);
+        for (ti, &(fps, tolerance)) in targets.iter().enumerate() {
+            let cfg = scd_config(fps, tolerance, derive(seed, ti));
+            let got = context.search(&cfg);
+            let want = reference_scd(bundle, &theirs, &model, &cfg, activation);
+            prop_assert_eq!(&got, &want);
+            if let (Some(a), Some(b)) = (ours.cache(), theirs.cache()) {
+                prop_assert_eq!(a.stats(), b.stats());
+                prop_assert_eq!(a.store_hits(), b.store_hits());
+            }
+        }
+        Ok(())
+    }
+
+    fn derive(seed: u64, stream: usize) -> u64 {
+        crate::parallel::derive_seed(seed, stream as u64)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn prop_context_matches_reference(
+            id in 1usize..=18,
+            arm in 0u8..2,
+            fps in prop::collection::vec(4.0f64..45.0, 1..4),
+            tolerance in 0.5f64..4.0,
+            seed in 0u64..u64::MAX,
+            mode in 0u8..3,
+        ) {
+            let activation = if arm == 0 { Activation::Relu } else { Activation::Relu4 };
+            let mode = [CacheMode::Absent, CacheMode::Fresh, CacheMode::Preloaded][mode as usize];
+            let targets: Vec<(f64, f64)> = fps.iter().map(|&f| (f, tolerance)).collect();
+            check_context_matches_reference(id, activation, &targets, seed, mode)?;
+        }
+    }
+
+    #[test]
+    fn failed_landings_move_the_point_and_keep_the_estimate() {
+        // The depth-6 landing of Bundles 6 and 16 does not price, so a
+        // restart there moves the point and keeps the old estimate: the
+        // same point is reached with different estimates.
+        for id in [6, 16] {
+            let (bundle, est) = &all_estimators()[id - 1];
+            for activation in [Activation::Relu, Activation::Relu4] {
+                let mut start = DesignPoint::initial(bundle.clone(), START_DEPTH);
+                start.activation = activation;
+                let plan = EstimatePlan::new(est, &start).unwrap();
+                let (_, landed) = ScdContext::land(&plan, bundle, activation, MAX_RESTART_DEPTH);
+                assert!(landed.is_none(), "bundle {id} depth-6 landing priced");
+            }
+        }
+        for id in [6, 16] {
+            for activation in [Activation::Relu, Activation::Relu4] {
+                for mode in [CacheMode::Absent, CacheMode::Fresh, CacheMode::Preloaded] {
+                    for seed in 0..4 {
+                        let targets = [(10.0, 1.5), (15.0, 1.5), (20.0, 1.5), (40.0, 1.0)];
+                        check_context_matches_reference(id, activation, &targets, seed, mode)
+                            .unwrap();
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -526,11 +961,9 @@ mod tests {
 
     #[test]
     fn warm_store_replays_every_lookup_as_a_store_hit() {
-        // Restart replay records lookups without probing; against a
+        // Graph replay records lookups without probing; against a
         // store-preloaded cache every one of them must still read as a
-        // store hit, exactly as re-running the PF ladder would count.
-        use codesign_hls::cache::EstimateCache;
-        use std::sync::Arc;
+        // store hit, exactly as re-probing would count.
         let (b, est) = estimator(13);
         // A 20 ms target is out of reach for Bundle 13 on the PYNQ-Z1,
         // so the search keeps getting stuck and revisits every restart

@@ -14,15 +14,18 @@
 //! # Logical lookups
 //!
 //! The counters count *logical* lookups: one per `estimate_point` and
-//! one per plan probe. A plan answers repeat probes from its own
-//! search-local memo of earlier lookups (see
+//! one per plan probe. A plan answers repeat probes from its own memo
+//! of earlier lookups (see
 //! [the incremental module](crate::incremental#the-probe-memo)) and
 //! reports each such answer through [`EstimateCache::record_hit`], so
-//! only a search's first probe of a key reaches the map, while hits,
+//! only a plan's first probe of a key reaches the map, while hits,
 //! misses and [`EstimateCache::store_hits`] read exactly as if every
-//! probe had. SCD goes one step further on its restarts: a repeat
-//! landing skips its PF-ladder probes altogether and replays their
-//! counts through [`EstimateCache::record_hits`].
+//! probe had. In the flow, one plan serves every FPS target of a
+//! (Bundle, quantization arm) pair. SCD goes one step further: a search
+//! that steps again from a state it has visited skips the step's probes
+//! altogether and replays their recorded counts through
+//! [`EstimateCache::record_hits`]; every skipped probe would have been
+//! a memo hit with the same store provenance.
 //!
 //! # Sharding
 //!
@@ -72,19 +75,23 @@
 //! why the flow can share one cache across any number of worker threads
 //! and still produce bit-identical Pareto fronts.
 //!
-//! # Why seeds are split per work item
+//! # Why seeds are split per search
 //!
 //! Memoization alone does not make a parallel search reproducible: if
-//! work items drew from one shared RNG, thread interleaving would decide
-//! which item sees which random values. The flow therefore derives an
-//! independent seed per (Bundle, FPS-target, activation) work item from
+//! searches drew from one shared RNG, thread interleaving would decide
+//! which search sees which random values. The flow therefore derives an
+//! independent seed per (FPS target, Bundle, activation) search from
 //! `FlowConfig::seed` with a SplitMix64 mix (see
-//! `codesign_core::parallel::derive_seed`), so every item owns a private
-//! deterministic stream and results are independent of scheduling.
+//! `codesign_core::parallel::derive_seed`), so every search owns a
+//! private deterministic stream and results are independent of
+//! scheduling. A work item runs the searches of one (Bundle,
+//! activation) pair, one target after another, and each search keeps
+//! its own seed.
 
 use crate::model::{Estimate, EstimateError};
 use codesign_sim::report::CacheStats;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -102,7 +109,38 @@ struct CacheEntry {
     preloaded: bool,
 }
 
-type ShardMap = HashMap<Vec<u8>, CacheEntry>;
+/// A multiply-xorshift hasher over whole words, for maps keyed by
+/// canonical design-point encodings. The keys are derived by the
+/// search, not taken from clients, so the maps need spread, not
+/// SipHash's flooding resistance.
+#[derive(Debug, Default)]
+pub(crate) struct WordHasher(u64);
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.write_u64(u64::from_ne_bytes(word.try_into().expect("8-byte chunk")));
+        }
+        for &byte in words.remainder() {
+            self.write_u64(u64::from(byte));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0 ^ word).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 ^= self.0 >> 29;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A `HashMap` hashed by [`WordHasher`].
+pub(crate) type WordMap<K, V> = HashMap<K, V, BuildHasherDefault<WordHasher>>;
+
+type ShardMap = WordMap<Vec<u8>, CacheEntry>;
 
 /// A thread-safe, sharded memo table for analytic estimates, with
 /// hit/miss counters.
@@ -164,7 +202,7 @@ impl EstimateCache {
     pub fn with_shards(shards: usize) -> Self {
         let n = shards.max(1).next_power_of_two();
         Self {
-            shards: (0..n).map(|_| Mutex::new(ShardMap::new())).collect(),
+            shards: (0..n).map(|_| Mutex::new(ShardMap::default())).collect(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             store_hits: AtomicU64::new(0),
@@ -360,7 +398,7 @@ impl EstimateCache {
 /// enough for the estimator salt plus the canonical encoding of design
 /// points with ten-plus replications — and transparently migrates to a
 /// `Vec` beyond that.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct KeyBuf {
     len: usize,
     inline: [u8; KeyBuf::INLINE],

@@ -52,12 +52,12 @@
 //!
 //! # The probe memo
 //!
-//! An SCD run re-probes the same few points over and over (PF-ladder
-//! rungs after every restart, the neighbors of a design it oscillates
+//! SCD re-probes the same few points over and over (PF-ladder rungs
+//! after every restart, the neighbors of a design it oscillates
 //! around), and each shared-cache hit costs a salted key encode, a
-//! shard hash, a `Mutex` and a SipHash. A plan is owned by one search
-//! on one thread, so it keeps a lock-free memo in front of the shared
-//! cache, keyed by the target's
+//! shard hash, a `Mutex` and a map lookup. A plan is owned by one
+//! thread, so it keeps a lock-free memo in front of the shared cache,
+//! keyed by the target's
 //! [`encode_canonical`](codesign_dnn::space::DesignPoint::encode_canonical)
 //! words (the estimator salt is fixed for the plan's lifetime) under a
 //! cheap word-mixing hasher. The memo is filled only from shared-cache
@@ -66,16 +66,18 @@
 //! would have been ([`EstimateCache::record_hit`], with the entry's
 //! store provenance). Hits, misses, store hits and the deterministic
 //! total-lookup count are therefore exactly those of probing the shared
-//! cache every time. The memo is dropped with the plan, at the end of
-//! each search; it assumes the shared cache is not
+//! cache every time. The memo lives as long as the plan: in the flow,
+//! one plan serves all the FPS targets of a (Bundle, quantization arm)
+//! pair, so a later target's first probe of a point an earlier target
+//! probed is a memo hit. The memo assumes the shared cache is not
 //! [`clear`](EstimateCache::clear)ed while the plan lives.
 //!
 //! The plan also keeps a [`LookupTally`] of the logical lookups it has
 //! counted. A caller that knows a run of probes would repeat an earlier
-//! run exactly (SCD's restarts re-walk the same PF ladder) can skip the
-//! probes and record the earlier run's tally through
-//! [`EstimateCache::record_hits`]: on a repeat every probe is a memo
-//! hit, so the counts are the same.
+//! run exactly (an SCD search stepping again from a state it has
+//! visited) can skip the probes and record the earlier run's tally
+//! through [`EstimateCache::record_hits`]: on a repeat every probe is a
+//! memo hit, so the counts are the same.
 //!
 //! # Interned slot bodies
 //!
@@ -90,7 +92,7 @@
 //! interned, and the table is dropped with the plan. A body is a pure
 //! function of its key, so interning cannot change a single bit.
 
-use crate::cache::{EstimateCache, KeyBuf};
+use crate::cache::{EstimateCache, KeyBuf, WordMap};
 use crate::calibrate::CalibratedParams;
 use crate::model::{Estimate, EstimateError, HlsEstimator};
 use codesign_dnn::bundle::Bundle;
@@ -103,8 +105,6 @@ use codesign_sim::pipeline::{bram_blocks, control_overhead, tile_buffer_blocks, 
 use codesign_sim::report::ResourceUsage;
 use std::cell::RefCell;
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 /// The three DNN-side coordinates the SCD unit moves along (Table 1's
@@ -327,35 +327,6 @@ impl Slot {
     }
 }
 
-/// A multiply-xorshift hasher over whole words. Memo keys are canonical
-/// design-point words, so the memo needs spread, not SipHash's
-/// flooding resistance.
-#[derive(Debug, Default)]
-struct WordHasher(u64);
-
-impl Hasher for WordHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        let mut words = bytes.chunks_exact(8);
-        for word in &mut words {
-            self.write_u64(u64::from_ne_bytes(word.try_into().expect("8-byte chunk")));
-        }
-        for &byte in words.remainder() {
-            self.write_u64(u64::from(byte));
-        }
-    }
-
-    fn write_u64(&mut self, word: u64) {
-        self.0 = (self.0 ^ word).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        self.0 ^= self.0 >> 29;
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-type WordMap<K, V> = HashMap<K, V, BuildHasherDefault<WordHasher>>;
-
 /// Key of an interned replication body: its input shape, channel width
 /// and down-sampling flag.
 type RepKey = (TensorShape, usize, bool);
@@ -405,14 +376,23 @@ impl std::ops::Sub for LookupTally {
     }
 }
 
+impl std::ops::AddAssign for LookupTally {
+    fn add_assign(&mut self, more: Self) {
+        self.lookups += more.lookups;
+        self.store_flagged += more.store_flagged;
+    }
+}
+
 /// A memoized shared-cache result plus the entry's store provenance.
 type MemoEntry = (Result<Estimate, EstimateError>, bool);
 
 /// The plan's search-local memo of shared-cache lookups (see the module
-/// docs), with a reusable buffer for the probed point's key words.
+/// docs), with reusable buffers for the probed point's key words and
+/// shared-cache key bytes.
 #[derive(Debug, Clone, Default)]
 struct ProbeMemo {
     words: Vec<u64>,
+    key: KeyBuf,
     entries: WordMap<Box<[u64]>, MemoEntry>,
     tally: LookupTally,
 }
@@ -437,9 +417,9 @@ impl ProbeMemo {
             cache.record_hit(*preloaded);
             return value.clone();
         }
-        let mut key = KeyBuf::new();
-        estimator.write_key(target, &mut key);
-        let (value, preloaded) = cache.get_or_insert_with_provenance(key.as_bytes(), compute);
+        self.key.clear();
+        estimator.write_key(target, &mut self.key);
+        let (value, preloaded) = cache.get_or_insert_with_provenance(self.key.as_bytes(), compute);
         self.tally.store_flagged += u64::from(preloaded);
         self.entries
             .insert(self.words.as_slice().into(), (value.clone(), preloaded));

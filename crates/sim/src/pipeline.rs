@@ -33,7 +33,6 @@ use codesign_dnn::quant::Quantization;
 use codesign_dnn::space::DesignPoint;
 use codesign_dnn::{Dnn, LayerInstance};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Default spatial tile height (on the post-stem 180x320 feature map a
 /// 10x20 tile yields an 18x16 tile grid; the tile is sized so deep,
@@ -210,14 +209,17 @@ fn pipeline_groups(dnn: &Dnn) -> Vec<Vec<&LayerInstance>> {
 /// Eq. 1).
 pub fn accelerator_resources(dnn: &Dnn, cfg: &AccelConfig) -> Result<ResourceUsage, SimError> {
     cfg.validate()?;
-    // One instance per distinct IP kind: layer-level IP reuse.
-    let mut instances: BTreeMap<String, IpInstance> = BTreeMap::new();
+    // One instance per distinct IP kind: layer-level IP reuse. A DNN
+    // uses a handful of kinds, so a linear scan beats any map.
+    let mut instances: Vec<IpInstance> = Vec::new();
     for layer in dnn.layers() {
         let ip = cfg.instance_for(&layer.op)?;
-        instances.insert(ip.kind.to_string(), ip);
+        if !instances.iter().any(|seen| seen.kind == ip.kind) {
+            instances.push(ip);
+        }
     }
     let mut total = ResourceUsage::zero();
-    for ip in instances.values() {
+    for ip in &instances {
         total += ip.resources();
     }
 
@@ -410,6 +412,31 @@ mod tests {
         p.parallel_factor = pf;
         p.activation = act;
         DnnBuilder::new().build(&p).unwrap()
+    }
+
+    #[test]
+    fn conv_and_dw_conv_of_one_kernel_are_separate_ips() {
+        // Bundle 18 is (dw-conv 3x3, conv 3x3): one instance each, never
+        // merged on the shared kernel size.
+        let dnn = dnn_for(18, 2, 32, Activation::Relu4);
+        let cfg = AccelConfig::new(32, Quantization::Int8);
+        let mut kinds: Vec<IpKind> = Vec::new();
+        for layer in dnn.layers() {
+            let kind = IpKind::for_op(&layer.op).unwrap();
+            if !kinds.contains(&kind) {
+                kinds.push(kind);
+            }
+        }
+        assert!(kinds.contains(&IpKind::Conv { k: 3 }));
+        assert!(kinds.contains(&IpKind::DwConv { k: 3 }));
+        let mut ips = ResourceUsage::zero();
+        for &kind in &kinds {
+            ips += cfg.instance_for_kind(kind).resources();
+        }
+        let total = accelerator_resources(&dnn, &cfg).unwrap();
+        assert_eq!(total.dsp, ips.dsp);
+        assert_eq!(total.lut, ips.lut + control_overhead(kinds.len()).lut);
+        assert_eq!(total.ff, ips.ff + control_overhead(kinds.len()).ff);
     }
 
     #[test]
