@@ -22,7 +22,7 @@
 //! | `store.sync`        | I/O error  | `RecordLog::sync` |
 //! | `serve.job.panic`   | panic      | the serve executor, keyed by job id |
 //! | `serve.job.delay`   | latency    | the serve executor, keyed by job id |
-//! | `serve.conn.drop`   | conn drop  | the HTTP accept path |
+//! | `serve.conn.drop`   | conn drop  | the HTTP connection handler, before each request is read |
 //! | `parallel.item`     | latency/panic | the worker pool, per work item |
 //! | `shard.worker.crash` | crash     | shard workers, keyed by shard index: abort mid-append on the first attempt, leaving a torn segment |
 //! | `shard.worker.poison` | crash    | shard workers, keyed by shard index: abort on *every* attempt (poison-shard detection) |

@@ -2,19 +2,29 @@
 //!
 //! The container has no registry access, so there is no hyper/tokio —
 //! and none is needed: the server speaks a small, well-defined subset
-//! of HTTP/1.1 (one request per connection, `Content-Length` bodies,
-//! `Connection: close` responses, and `Transfer-Encoding: chunked` for
-//! the progress-event stream). Everything rides on `std::net::TcpStream`
-//! and blocking I/O. Connections are served by a bounded pool of at most
-//! [`MAX_HANDLERS`] reused handler threads, so a burst of clients costs
-//! a bounded number of threads and a quiet server holds none for longer
-//! than [`HANDLER_IDLE_TTL`]. Every handler read and write is bounded in
-//! time ([`REQUEST_TIMEOUT`], [`WRITE_TIMEOUT`]), so no client can pin a
-//! handler by stalling.
+//! of HTTP/1.1 (persistent connections, `Content-Length` request
+//! bodies, `Content-Length` JSON responses, and `Transfer-Encoding:
+//! chunked` for the progress-event stream). Everything rides on
+//! `std::net::TcpStream` and blocking I/O. Connections are served by a
+//! bounded pool of at most [`MAX_HANDLERS`] reused handler threads, so
+//! a burst of clients costs a bounded number of threads and a quiet
+//! server holds none for longer than [`HANDLER_IDLE_TTL`].
+//!
+//! A connection carries requests one after another, as HTTP/1.1
+//! defaults to: its handler reads the next request through the same
+//! buffer, so requests a client sends ahead of their answers
+//! (pipelining) are answered in order. A response ends the connection,
+//! and says so with `connection: close`, only when the request asked
+//! for it or was HTTP/1.0, when the request could not be read (400,
+//! 408, 431), for the accept loop's 503, for `/admin/shutdown`, and
+//! once the server is shutting down. Between requests a handler waits
+//! at most [`KEEP_ALIVE_IDLE`] and then closes the connection without
+//! a word. Every read of a request and every write
+//! is bounded in time too ([`REQUEST_TIMEOUT`], [`WRITE_TIMEOUT`]), so
+//! no client can pin a handler by stalling.
 
 use std::fmt;
-use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use std::io::{self, BufRead, Read, Write};
 use std::time::{Duration, Instant};
 
 /// Maximum accepted request-body size (a co-design request is a few
@@ -46,6 +56,20 @@ pub const MAX_HANDLERS: usize = 64;
 /// result fetch reuse warm threads; short enough that threads spawned
 /// for a burst do not outlive it by much.
 pub const HANDLER_IDLE_TTL: Duration = Duration::from_secs(2);
+
+/// How long a handler waits for the next request on an open
+/// connection before closing it. An idle connection holds one of the
+/// [`MAX_HANDLERS`] handlers, so this stays short: long enough for a
+/// client's next request after a pause, far shorter than the time a
+/// handler itself idles in the pool. The handler writes nothing before
+/// closing, so a client that sends a request as the wait runs out
+/// sees the connection close unanswered and may resend it on a new
+/// one: the server never read it.
+pub const KEEP_ALIVE_IDLE: Duration = Duration::from_millis(500);
+
+/// The header a response carries when the server closes the
+/// connection after it.
+pub(crate) const CONNECTION_CLOSE: (&str, &str) = ("connection", "close");
 
 /// Time a client has to deliver its whole request, head and body. Each
 /// socket read also waits at most this long, so a request that stalls,
@@ -135,6 +159,10 @@ pub struct Request {
     pub headers: Vec<(String, String)>,
     /// The request body (empty without `Content-Length`).
     pub body: Vec<u8>,
+    /// Whether the connection may carry another request after this
+    /// one: an HTTP/1.1 request without `connection: close`. A request
+    /// with a `transfer-encoding` is not, since its body is not read.
+    pub keep_alive: bool,
 }
 
 impl Request {
@@ -167,27 +195,55 @@ pub fn is_timeout(err: &io::Error) -> bool {
     )
 }
 
-/// A reader that refuses to read once `deadline` has passed, so a peer
-/// that trickles bytes cannot stretch one request without end.
+/// A buffered reader that refuses to read once `deadline` has passed,
+/// so a peer that trickles bytes cannot stretch one request without
+/// end.
 struct Deadline<R> {
     inner: R,
     deadline: Instant,
 }
 
-impl<R: Read> Read for Deadline<R> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+impl<R> Deadline<R> {
+    fn check(&self) -> io::Result<()> {
         if Instant::now() >= self.deadline {
             return Err(io::Error::new(
                 io::ErrorKind::TimedOut,
                 "request not received in time",
             ));
         }
+        Ok(())
+    }
+}
+
+impl<R: BufRead> Read for Deadline<R> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        self.check()?;
         self.inner.read(buf)
     }
 }
 
-/// Reads one request from the stream. Returns `Ok(None)` when the peer
-/// closed the connection before sending a request line.
+impl<R: BufRead> BufRead for Deadline<R> {
+    fn fill_buf(&mut self) -> io::Result<&[u8]> {
+        self.check()?;
+        self.inner.fill_buf()
+    }
+
+    fn consume(&mut self, amt: usize) {
+        self.inner.consume(amt);
+    }
+}
+
+/// Whether a `connection` header value lists the `close` option.
+fn lists_close(value: &str) -> bool {
+    value
+        .split(',')
+        .any(|option| option.trim().eq_ignore_ascii_case("close"))
+}
+
+/// Reads one request from a connection's reader. Returns `Ok(None)`
+/// when the peer closed the connection before sending a request line.
+/// Bytes after the request stay in `reader` for the next call, so keep
+/// one reader per connection.
 ///
 /// The head is bounded: [`MAX_REQUEST_LINE_BYTES`],
 /// [`MAX_HEADER_LINE_BYTES`] per header, [`MAX_HEADERS`] headers and
@@ -201,11 +257,11 @@ impl<R: Read> Read for Deadline<R> {
 /// `InvalidData`, a head over a limit as `InvalidData` carrying a
 /// [`HeadTooLarge`], and a late request as an error [`is_timeout`]
 /// accepts.
-pub fn read_request(stream: &mut impl Read) -> io::Result<Option<Request>> {
-    let mut reader = BufReader::new(Deadline {
-        inner: stream,
+pub fn read_request(reader: &mut impl BufRead) -> io::Result<Option<Request>> {
+    let mut reader = Deadline {
+        inner: reader,
         deadline: Instant::now() + REQUEST_TIMEOUT,
-    });
+    };
     let mut buf = Vec::new();
     let Some(line) = read_bounded_line(
         &mut reader,
@@ -225,6 +281,7 @@ pub fn read_request(stream: &mut impl Read) -> io::Result<Option<Request>> {
         .next()
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "missing request target"))?;
     let path = target.split('?').next().unwrap_or(target).to_string();
+    let mut keep_alive = parts.next() == Some("HTTP/1.1");
 
     let mut headers = Vec::new();
     let mut content_length = 0usize;
@@ -257,6 +314,9 @@ pub fn read_request(stream: &mut impl Read) -> io::Result<Option<Request>> {
         if let Some((name, value)) = trimmed.split_once(':') {
             let name = name.trim().to_lowercase();
             let value = value.trim().to_string();
+            if (name == "connection" && lists_close(&value)) || name == "transfer-encoding" {
+                keep_alive = false;
+            }
             if name == "content-length" {
                 content_length = value.parse().map_err(|_| {
                     io::Error::new(io::ErrorKind::InvalidData, "bad content-length")
@@ -278,6 +338,7 @@ pub fn read_request(stream: &mut impl Read) -> io::Result<Option<Request>> {
         path,
         headers,
         body,
+        keep_alive,
     }))
 }
 
@@ -299,27 +360,18 @@ fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Writes a complete `Connection: close` response with a JSON body.
+/// Writes a complete response with a JSON body and the given extra
+/// headers (`retry-after`, `connection: close`), each written as
+/// `name: value`. Head and body go out in one write, so a small
+/// response is one segment on the wire.
 ///
 /// # Errors
 ///
 /// Propagates socket errors.
-pub fn write_json_response(stream: &mut impl Write, status: u16, body: &str) -> io::Result<()> {
-    write_json_response_with(stream, status, &[], body)
-}
-
-/// [`write_json_response`] with extra response headers (e.g.
-/// `Retry-After` on 429/503). Each pair is written as `name: value`.
-/// Head and body go out in one write, so a small response is one
-/// segment on the wire.
-///
-/// # Errors
-///
-/// Propagates socket errors.
-pub fn write_json_response_with(
+pub fn write_json_response(
     stream: &mut impl Write,
     status: u16,
-    extra_headers: &[(&str, String)],
+    headers: &[(&str, &str)],
     body: &str,
 ) -> io::Result<()> {
     let mut out = Vec::with_capacity(128 + body.len());
@@ -329,35 +381,41 @@ pub fn write_json_response_with(
         reason(status),
         body.len()
     )?;
-    for (name, value) in extra_headers {
+    for (name, value) in headers {
         write!(out, "{name}: {value}\r\n")?;
     }
-    out.extend_from_slice(b"connection: close\r\n\r\n");
+    out.extend_from_slice(b"\r\n");
     out.extend_from_slice(body.as_bytes());
     stream.write_all(&out)?;
     stream.flush()
 }
 
-/// A `Transfer-Encoding: chunked` response writer: one
-/// [`chunk`](ChunkedWriter::chunk) per progress event, then
-/// [`finish`](ChunkedWriter::finish) for the terminating zero chunk.
-/// Each call is one write.
+/// A `Transfer-Encoding: chunked` NDJSON response writer: one
+/// [`lines`](ChunkedWriter::lines) call per batch of progress events,
+/// the last one carrying the terminating zero-length chunk. Each call
+/// is one write.
 pub struct ChunkedWriter<'a, W: Write> {
     stream: &'a mut W,
     buf: Vec<u8>,
 }
 
 impl<'a, W: Write> ChunkedWriter<'a, W> {
-    /// Starts a chunked response by writing the response head.
+    /// Starts a chunked response by writing the response head with the
+    /// given extra headers, so the client sees the status before the
+    /// first event exists.
     ///
     /// # Errors
     ///
     /// Propagates socket errors.
-    pub fn start(stream: &'a mut W, status: u16) -> io::Result<Self> {
-        let head = format!(
-            "HTTP/1.1 {status} {}\r\ncontent-type: application/x-ndjson\r\ntransfer-encoding: chunked\r\nconnection: close\r\n\r\n",
+    pub fn start(stream: &'a mut W, status: u16, headers: &[(&str, &str)]) -> io::Result<Self> {
+        let mut head = format!(
+            "HTTP/1.1 {status} {}\r\ncontent-type: application/x-ndjson\r\ntransfer-encoding: chunked\r\n",
             reason(status),
         );
+        for (name, value) in headers {
+            head.push_str(&format!("{name}: {value}\r\n"));
+        }
+        head.push_str("\r\n");
         stream.write_all(head.as_bytes())?;
         stream.flush()?;
         Ok(Self {
@@ -366,46 +424,61 @@ impl<'a, W: Write> ChunkedWriter<'a, W> {
         })
     }
 
-    /// Writes one chunk and flushes it so clients see events live.
+    /// Writes `lines`, each ended by `\n`, as one chunk and, when
+    /// `end` is set, the terminating zero-length chunk after it, in one
+    /// write flushed so clients see events live.
     ///
     /// # Errors
     ///
     /// Propagates socket errors (a disconnected client ends the
     /// stream).
-    pub fn chunk(&mut self, data: &str) -> io::Result<()> {
+    pub fn lines(&mut self, lines: &[String], end: bool) -> io::Result<()> {
         self.buf.clear();
-        write!(self.buf, "{:x}\r\n", data.len())?;
-        self.buf.extend_from_slice(data.as_bytes());
-        self.buf.extend_from_slice(b"\r\n");
+        let len: usize = lines.iter().map(|line| line.len() + 1).sum();
+        if len > 0 {
+            write!(self.buf, "{len:x}\r\n")?;
+            for line in lines {
+                self.buf.extend_from_slice(line.as_bytes());
+                self.buf.push(b'\n');
+            }
+            self.buf.extend_from_slice(b"\r\n");
+        }
+        if end {
+            self.buf.extend_from_slice(b"0\r\n\r\n");
+        }
         self.stream.write_all(&self.buf)?;
-        self.stream.flush()
-    }
-
-    /// Writes the terminating zero-length chunk.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket errors.
-    pub fn finish(self) -> io::Result<()> {
-        self.stream.write_all(b"0\r\n\r\n")?;
         self.stream.flush()
     }
 }
 
-/// Client-side helper: reads one full response from the stream,
-/// decoding a chunked body transparently. Returns `(status, body)`.
+/// A response as [`read_response`] reads it.
+#[derive(Debug, Clone)]
+pub struct Response {
+    /// The status code.
+    pub status: u16,
+    /// The body, de-chunked.
+    pub body: Vec<u8>,
+    /// Whether the server closes the connection after this response:
+    /// it said `connection: close`, answered as HTTP/1.0, or ended the
+    /// body by closing.
+    pub close: bool,
+}
+
+/// Client-side helper: reads one full response from a connection's
+/// reader, decoding a chunked body transparently. Bytes after the
+/// response stay in `reader`.
 ///
 /// # Errors
 ///
 /// Propagates socket errors; malformed responses surface as
 /// `InvalidData`.
-pub fn read_response(stream: &mut TcpStream) -> io::Result<(u16, Vec<u8>)> {
-    let mut reader = BufReader::new(stream);
+pub fn read_response(reader: &mut impl BufRead) -> io::Result<Response> {
     let mut status_line = String::new();
     reader.read_line(&mut status_line)?;
-    let status: u16 = status_line
-        .split_whitespace()
-        .nth(1)
+    let mut words = status_line.split_whitespace();
+    let mut close = words.next() != Some("HTTP/1.1");
+    let status: u16 = words
+        .next()
         .and_then(|s| s.parse().ok())
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "bad status line"))?;
     let mut content_length: Option<usize> = None;
@@ -428,6 +501,7 @@ pub fn read_response(stream: &mut TcpStream) -> io::Result<(u16, Vec<u8>)> {
                 "transfer-encoding" if value.trim().eq_ignore_ascii_case("chunked") => {
                     chunked = true
                 }
+                "connection" if lists_close(value) => close = true,
                 _ => {}
             }
         }
@@ -441,7 +515,7 @@ pub fn read_response(stream: &mut TcpStream) -> io::Result<(u16, Vec<u8>)> {
                 .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "bad chunk size"))?;
             if size == 0 {
                 let mut crlf = String::new();
-                let _ = reader.read_line(&mut crlf);
+                reader.read_line(&mut crlf)?;
                 break;
             }
             let mut chunk = vec![0u8; size + 2]; // payload + CRLF
@@ -454,8 +528,13 @@ pub fn read_response(stream: &mut TcpStream) -> io::Result<(u16, Vec<u8>)> {
         reader.read_exact(&mut body)?;
     } else {
         reader.read_to_end(&mut body)?;
+        close = true;
     }
-    Ok((status, body))
+    Ok(Response {
+        status,
+        body,
+        close,
+    })
 }
 
 #[cfg(test)]
@@ -506,8 +585,8 @@ mod tests {
     #[test]
     fn a_response_is_one_write_and_a_chunk_is_one_write() {
         let mut out = CountingWriter::default();
-        let retry = [("retry-after", "1".to_string())];
-        write_json_response_with(&mut out, 503, &retry, r#"{"error":"busy"}"#).unwrap();
+        let headers = [("retry-after", "1"), CONNECTION_CLOSE];
+        write_json_response(&mut out, 503, &headers, r#"{"error":"busy"}"#).unwrap();
         assert_eq!(out.writes, 1);
         assert_eq!(
             String::from_utf8(out.bytes).unwrap(),
@@ -517,19 +596,69 @@ mod tests {
         );
 
         let mut out = CountingWriter::default();
-        let mut writer = ChunkedWriter::start(&mut out, 200).unwrap();
-        writer.chunk("{\"event\":\"started\"}\n").unwrap();
-        writer.chunk("{\"event\":\"finished\"}\n").unwrap();
-        writer.finish().unwrap();
-        assert_eq!(out.writes, 4, "head, two chunks, terminator");
+        write_json_response(&mut out, 200, &[], "{}").unwrap();
+        let text = String::from_utf8(out.bytes).unwrap();
+        assert!(!text.contains("connection"), "{text}");
+
+        let mut out = CountingWriter::default();
+        let mut writer = ChunkedWriter::start(&mut out, 200, &[]).unwrap();
+        let first = ["{\"event\":\"queued\"}".to_string()];
+        let rest = [
+            "{\"event\":\"started\"}".to_string(),
+            "{\"event\":\"finished\"}".to_string(),
+        ];
+        writer.lines(&first, false).unwrap();
+        writer.lines(&rest, true).unwrap();
+        assert_eq!(
+            out.writes, 3,
+            "head, one batch, the last batch with the terminator"
+        );
         let text = String::from_utf8(out.bytes).unwrap();
         assert!(
             text.ends_with(
-                "\r\n\r\n14\r\n{\"event\":\"started\"}\n\r\n\
-                 15\r\n{\"event\":\"finished\"}\n\r\n0\r\n\r\n"
+                "\r\n\r\n13\r\n{\"event\":\"queued\"}\n\r\n\
+                 29\r\n{\"event\":\"started\"}\n{\"event\":\"finished\"}\n\r\n0\r\n\r\n"
             ),
             "{text}"
         );
+        let response = read_response(&mut text.as_bytes()).unwrap();
+        assert_eq!(
+            String::from_utf8(response.body).unwrap(),
+            "{\"event\":\"queued\"}\n{\"event\":\"started\"}\n{\"event\":\"finished\"}\n"
+        );
+        assert!(!response.close);
+
+        // A terminal job with no new lines ends the stream with the
+        // terminator alone.
+        let mut out = CountingWriter::default();
+        ChunkedWriter::start(&mut out, 200, &[])
+            .unwrap()
+            .lines(&[], true)
+            .unwrap();
+        assert_eq!(out.writes, 2);
+        assert!(out.bytes.ends_with(b"\r\n\r\n0\r\n\r\n"));
+    }
+
+    #[test]
+    fn keep_alive_follows_version_and_connection_header() {
+        let keep_alive = |head: &str| {
+            read_request(&mut head.as_bytes())
+                .unwrap()
+                .unwrap()
+                .keep_alive
+        };
+        assert!(keep_alive("GET / HTTP/1.1\r\n\r\n"));
+        assert!(keep_alive(
+            "GET / HTTP/1.1\r\nconnection: keep-alive\r\n\r\n"
+        ));
+        assert!(!keep_alive(
+            "GET / HTTP/1.1\r\nConnection: Keep-Alive, Close\r\n\r\n"
+        ));
+        assert!(!keep_alive("GET / HTTP/1.0\r\n\r\n"));
+        assert!(!keep_alive("GET /\r\n\r\n"));
+        assert!(!keep_alive(
+            "POST / HTTP/1.1\r\ntransfer-encoding: chunked\r\n\r\n"
+        ));
     }
 
     #[test]

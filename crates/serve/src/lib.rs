@@ -17,11 +17,14 @@
 //! at once, so a connection flood costs bounded memory and the 65th
 //! concurrent connection gets `503` + `Retry-After`; an idle handler
 //! exits after [`http::HANDLER_IDLE_TTL`] (2 s), so the thread count
-//! follows real concurrency. Reusing warm threads, rather than spawning
-//! one per request, is what keeps the short control requests (status,
-//! `/metrics`, `/healthz`) cheap. Request reads and response writes are
-//! bounded in time, so a stalled client gets `408` and frees its
-//! handler.
+//! follows real concurrency. Connections persist between requests,
+//! and [`Client`] reuses them; an idle connection is closed after
+//! [`http::KEEP_ALIVE_IDLE`] (0.5 s), so it holds a handler only
+//! briefly. Reusing warm threads and open connections, rather than a
+//! thread and a TCP handshake per request, is what keeps the short
+//! control requests (status, `/metrics`, `/healthz`) cheap. Request
+//! reads and response writes are bounded in time, so a stalled client
+//! gets `408` and frees its handler.
 //!
 //! # Quick start
 //!
@@ -51,7 +54,8 @@
 //! - [`job`] — job lifecycle, bounded queue, executor pool, metrics.
 //! - [`metrics`] — counters and latency percentiles for `/metrics`.
 //! - [`server`] — accept loop and routing.
-//! - [`client`] — blocking client for tests, benches, and demos.
+//! - [`client`] — blocking client, with reused connections, for tests,
+//!   benches, and demos.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -58,6 +58,13 @@ pub struct Metrics {
     pub rejected: AtomicU64,
     /// Jobs currently executing on a worker.
     pub jobs_in_flight: AtomicU64,
+    /// Connections handed to a handler (`http.connections`). The
+    /// accept loop's 503 refusals are not counted.
+    pub http_connections: AtomicU64,
+    /// Requests read and answered (`http.requests`), 400, 408 and 431
+    /// answers to unreadable requests included. With persistent
+    /// connections this outgrows `http_connections`.
+    pub http_requests: AtomicU64,
     /// End-to-end (submit → finish) latencies of completed jobs, ms —
     /// the most recent [`LATENCY_WINDOW`] of them.
     latencies_ms: Mutex<LatencyReservoir>,
@@ -144,6 +151,19 @@ impl Metrics {
                 ]),
             ),
             (
+                "http".into(),
+                Json::Obj(vec![
+                    (
+                        "connections".into(),
+                        Json::num(self.http_connections.load(Ordering::Relaxed) as f64),
+                    ),
+                    (
+                        "requests".into(),
+                        Json::num(self.http_requests.load(Ordering::Relaxed) as f64),
+                    ),
+                ]),
+            ),
+            (
                 "estimate_cache".into(),
                 Json::Obj(vec![
                     ("hits".into(), Json::num(stats.hits as f64)),
@@ -191,6 +211,8 @@ mod tests {
         let metrics = Metrics::default();
         metrics.submitted.store(3, Ordering::Relaxed);
         metrics.completed.store(2, Ordering::Relaxed);
+        metrics.http_connections.store(4, Ordering::Relaxed);
+        metrics.http_requests.store(9, Ordering::Relaxed);
         metrics.record_latency(10.0);
         metrics.record_latency(20.0);
         metrics.record_latency(30.0);
@@ -199,6 +221,9 @@ mod tests {
         assert_eq!(doc.get("queue_depth").unwrap().as_uint(), Some(1));
         assert_eq!(doc.get("max_queue").unwrap().as_uint(), Some(8));
         assert_eq!(doc.get("submitted").unwrap().as_uint(), Some(3));
+        let http = doc.get("http").unwrap();
+        assert_eq!(http.get("connections").unwrap().as_uint(), Some(4));
+        assert_eq!(http.get("requests").unwrap().as_uint(), Some(9));
         let lat = doc.get("job_latency_ms").unwrap();
         assert_eq!(lat.get("count").unwrap().as_uint(), Some(3));
         assert_eq!(lat.get("p50").unwrap().as_num(), Some(20.0));

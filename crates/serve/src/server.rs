@@ -3,13 +3,19 @@
 //!
 //! # Wire protocol
 //!
-//! One request per connection, `Connection: close`. Endpoints:
+//! A connection carries any number of requests, answered in order. A
+//! response ends the connection, and carries `connection: close`, only
+//! when the request asked for that or was HTTP/1.0, when it could not
+//! be read (400, 408, 431), for the accept loop's 503, for
+//! `/admin/shutdown`, and once the server is shutting down. Between
+//! requests a handler waits at most [`KEEP_ALIVE_IDLE`], then closes
+//! the connection without writing anything. Endpoints:
 //!
 //! | Method | Path                  | Response |
 //! |--------|-----------------------|----------|
 //! | POST   | `/jobs`               | `202 {"job_id":N,"status":"queued"}`, `400` on bad request, `429` + `Retry-After` when the queue is full, `503` + `Retry-After` while shutting down. Body may carry `deadline_ms` alongside the flow fields. |
 //! | GET    | `/jobs/<id>`          | `200` status document; `404` for unknown ids, with a distinct "expired" error for finished jobs evicted under the retention bound |
-//! | GET    | `/jobs/<id>/events`   | `200` chunked NDJSON progress stream, one event per line, ends when the job finishes |
+//! | GET    | `/jobs/<id>/events`   | `200` chunked NDJSON progress stream, one event per line, each batch of new events one chunk, ends when the job finishes |
 //! | POST   | `/jobs/<id>/cancel`   | `200 {"job_id":N,"cancel":"..."}` |
 //! | GET    | `/jobs/<id>/result`   | `200` result body, `409` until completed |
 //! | GET    | `/metrics`            | `200` counters + latency percentiles + cache stats + store health |
@@ -23,15 +29,15 @@
 //! Every error body is `{"error":"<message>"}`.
 
 use crate::http::{
-    is_timeout, read_request, write_json_response, write_json_response_with, ChunkedWriter,
-    HeadTooLarge, Request, REQUEST_TIMEOUT, WRITE_TIMEOUT,
+    is_timeout, read_request, write_json_response, ChunkedWriter, HeadTooLarge, Request,
+    CONNECTION_CLOSE, KEEP_ALIVE_IDLE, REQUEST_TIMEOUT, WRITE_TIMEOUT,
 };
 use crate::job::{CancelOutcome, JobLookup, Scheduler, ServeConfig, ShutdownPolicy, SubmitError};
 use crate::json::Json;
 use crate::pool::HandlerPool;
 use crate::request::job_request_from_body;
 use codesign_faults::FaultAction;
-use std::io;
+use std::io::{self, BufRead, BufReader};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -42,10 +48,9 @@ fn error_body(message: &str) -> String {
     Json::Obj(vec![("error".to_string(), Json::str(message))]).encode()
 }
 
-/// Suggested client back-off, in seconds, attached as `Retry-After` to
-/// 429 (queue full) and 503 (shutting down, or every handler busy)
-/// responses.
-const RETRY_AFTER_SECS: u64 = 1;
+/// Suggested client back-off, one second, attached to 429 (queue
+/// full) and 503 (shutting down, or every handler busy) responses.
+const RETRY_AFTER: (&str, &str) = ("retry-after", "1");
 
 /// Coordination between request handlers and the thread that owns the
 /// [`Server`]: `POST /admin/shutdown` records the requested policy and
@@ -158,10 +163,10 @@ impl Server {
                             // unread; sending FIN before the close
                             // lets the client read the answer to its
                             // end rather than hit a reset.
-                            let _ = write_json_response_with(
+                            let _ = write_json_response(
                                 &mut busy,
                                 503,
-                                &[("retry-after", RETRY_AFTER_SECS.to_string())],
+                                &[RETRY_AFTER, CONNECTION_CLOSE],
                                 &error_body("every connection handler is busy"),
                             );
                             let _ = busy.shutdown(Shutdown::Write);
@@ -237,65 +242,122 @@ impl Drop for Server {
     }
 }
 
-fn handle_connection(mut stream: TcpStream, scheduler: &Scheduler, control: &ServerControl) {
-    // Fault site `serve.conn.drop`: sever the connection before reading
-    // a byte, exactly what a flaky network or dying peer looks like.
-    if let Some(plan) = scheduler.fault_plan() {
-        if plan.decide("serve.conn.drop") == FaultAction::DropConnection {
-            return;
+/// Where a handler writes its answer to one request: the connection,
+/// and whether this answer is the connection's last. A closing answer
+/// carries `connection: close`.
+struct Reply<'a> {
+    stream: &'a TcpStream,
+    close: bool,
+}
+
+impl<'a> Reply<'a> {
+    fn json(&mut self, status: u16, body: &str) -> io::Result<()> {
+        self.json_with(status, &[], body)
+    }
+
+    fn json_with(&mut self, status: u16, headers: &[(&str, &str)], body: &str) -> io::Result<()> {
+        if self.close {
+            let mut headers = headers.to_vec();
+            headers.push(CONNECTION_CLOSE);
+            write_json_response(&mut self.stream, status, &headers, body)
+        } else {
+            write_json_response(&mut self.stream, status, headers, body)
         }
     }
+
+    fn chunked(&mut self, status: u16) -> io::Result<ChunkedWriter<'_, &'a TcpStream>> {
+        let headers: &[(&str, &str)] = if self.close { &[CONNECTION_CLOSE] } else { &[] };
+        ChunkedWriter::start(&mut self.stream, status, headers)
+    }
+}
+
+/// Serves requests on one connection until it closes, ends with a
+/// closing answer, or idles past [`KEEP_ALIVE_IDLE`].
+fn handle_connection(stream: TcpStream, scheduler: &Scheduler, control: &ServerControl) {
+    let metrics = scheduler.metrics();
+    metrics.http_connections.fetch_add(1, Ordering::Relaxed);
     // Responses are written whole, so Nagle's algorithm only delays
     // them; the timeouts keep a stalled client from pinning a handler.
     let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(REQUEST_TIMEOUT));
     let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
-    let request = match read_request(&mut stream) {
-        Ok(Some(request)) => request,
-        Ok(None) => return,
-        Err(err) => {
-            let status = if HeadTooLarge::of(&err).is_some() {
-                431
-            } else if is_timeout(&err) {
-                408
-            } else {
-                400
-            };
-            let _ = write_json_response(&mut stream, status, &error_body(&err.to_string()));
+    // One reader for the whole connection, so requests a client sends
+    // ahead of their answers stay buffered for the next read.
+    let mut reader = BufReader::new(&stream);
+    loop {
+        // Fault site `serve.conn.drop`: sever the connection before
+        // reading a request, exactly what a flaky network or dying peer
+        // looks like.
+        if let Some(plan) = scheduler.fault_plan() {
+            if plan.decide("serve.conn.drop") == FaultAction::DropConnection {
+                return;
+            }
+        }
+        let _ = stream.set_read_timeout(Some(REQUEST_TIMEOUT));
+        let request = match read_request(&mut reader) {
+            Ok(Some(request)) => request,
+            Ok(None) => return,
+            Err(err) => {
+                let status = if HeadTooLarge::of(&err).is_some() {
+                    431
+                } else if is_timeout(&err) {
+                    408
+                } else {
+                    400
+                };
+                metrics.http_requests.fetch_add(1, Ordering::Relaxed);
+                let mut reply = Reply {
+                    stream: &stream,
+                    close: true,
+                };
+                let _ = reply.json(status, &error_body(&err.to_string()));
+                return;
+            }
+        };
+        metrics.http_requests.fetch_add(1, Ordering::Relaxed);
+        let mut reply = Reply {
+            stream: &stream,
+            close: !request.keep_alive || scheduler.is_shutting_down(),
+        };
+        if route(&mut reply, &request, scheduler, control).is_err() || reply.close {
             return;
         }
-    };
-    let _ = route(&mut stream, &request, scheduler, control);
+        if reader.buffer().is_empty() {
+            // Wait for the next request. Closing unanswered is safe: the
+            // client has sent nothing since its last answer.
+            let _ = stream.set_read_timeout(Some(KEEP_ALIVE_IDLE));
+            if !matches!(reader.fill_buf(), Ok(next) if !next.is_empty()) {
+                return;
+            }
+        }
+    }
 }
 
 fn route(
-    stream: &mut TcpStream,
+    reply: &mut Reply,
     request: &Request,
     scheduler: &Scheduler,
     control: &ServerControl,
 ) -> io::Result<()> {
     let segments: Vec<&str> = request.path.split('/').filter(|s| !s.is_empty()).collect();
     match (request.method.as_str(), segments.as_slice()) {
-        ("POST", ["jobs"]) => submit_job(stream, request, scheduler),
-        ("GET", ["jobs", id]) => with_job(stream, scheduler, id, |stream, _, job| {
-            write_json_response(stream, 200, &job.status_json().encode())
+        ("POST", ["jobs"]) => submit_job(reply, request, scheduler),
+        ("GET", ["jobs", id]) => with_job(reply, scheduler, id, |reply, _, job| {
+            reply.json(200, &job.status_json().encode())
         }),
-        ("GET", ["jobs", id, "events"]) => with_job(stream, scheduler, id, |stream, _, job| {
-            let mut writer = ChunkedWriter::start(stream, 200)?;
+        ("GET", ["jobs", id, "events"]) => with_job(reply, scheduler, id, |reply, _, job| {
+            let mut writer = reply.chunked(200)?;
             let mut cursor = 0usize;
             loop {
                 let (lines, terminal) = job.events_from(cursor);
                 cursor += lines.len();
-                for line in &lines {
-                    writer.chunk(&format!("{line}\n"))?;
-                }
+                writer.lines(&lines, terminal)?;
                 if terminal {
-                    return writer.finish();
+                    return Ok(());
                 }
             }
         }),
         ("POST", ["jobs", id, "cancel"]) => {
-            with_job(stream, scheduler, id, |stream, scheduler, job| {
+            with_job(reply, scheduler, id, |reply, scheduler, job| {
                 let outcome = match scheduler.cancel(job.id) {
                     Some(CancelOutcome::DequeuedAndCancelled) => "cancelled",
                     Some(CancelOutcome::SignalledRunning) => "cancelling",
@@ -307,22 +369,26 @@ fn route(
                     ("cancel".to_string(), Json::str(outcome)),
                 ])
                 .encode();
-                write_json_response(stream, 200, &body)
+                reply.json(200, &body)
             })
         }
-        ("GET", ["jobs", id, "result"]) => with_job(stream, scheduler, id, |stream, _, job| {
-            match job.result_body() {
-                Some(body) => write_json_response(stream, 200, &body),
-                None => {
-                    let phase = job.phase();
-                    write_json_response(
-                        stream,
-                        409,
-                        &error_body(&format!("job is {}, result not available", phase.as_str())),
-                    )
+        ("GET", ["jobs", id, "result"]) => {
+            with_job(reply, scheduler, id, |reply, _, job| {
+                match job.result_body() {
+                    Some(body) => reply.json(200, &body),
+                    None => {
+                        let phase = job.phase();
+                        reply.json(
+                            409,
+                            &error_body(&format!(
+                                "job is {}, result not available",
+                                phase.as_str()
+                            )),
+                        )
+                    }
                 }
-            }
-        }),
+            })
+        }
         ("GET", ["metrics"]) => {
             let body = scheduler
                 .metrics()
@@ -333,18 +399,16 @@ fn route(
                     scheduler.store_json(),
                 )
                 .encode();
-            write_json_response(stream, 200, &body)
+            reply.json(200, &body)
         }
-        ("GET", ["healthz"]) => write_json_response(stream, 200, &healthz_body(scheduler)),
-        ("POST", ["admin", "shutdown"]) => admin_shutdown(stream, request, scheduler, control),
+        ("GET", ["healthz"]) => reply.json(200, &healthz_body(scheduler)),
+        ("POST", ["admin", "shutdown"]) => admin_shutdown(reply, request, scheduler, control),
         (_, ["jobs"])
         | (_, ["jobs", ..])
         | (_, ["metrics"])
         | (_, ["healthz"])
-        | (_, ["admin", "shutdown"]) => {
-            write_json_response(stream, 405, &error_body("method not allowed"))
-        }
-        _ => write_json_response(stream, 404, &error_body("no such endpoint")),
+        | (_, ["admin", "shutdown"]) => reply.json(405, &error_body("method not allowed")),
+        _ => reply.json(404, &error_body("no such endpoint")),
     }
 }
 
@@ -389,36 +453,31 @@ fn healthz_body(scheduler: &Scheduler) -> String {
 /// `POST /admin/shutdown`: stop admitting jobs under the requested
 /// policy (body `{"policy":"drain"|"cancel"}`, default drain), answer
 /// 200, and wake the thread blocked in
-/// [`Server::wait_shutdown_requested`] to finish the join.
+/// [`Server::wait_shutdown_requested`] to finish the join. The answer
+/// closes the connection.
 fn admin_shutdown(
-    stream: &mut TcpStream,
+    reply: &mut Reply,
     request: &Request,
     scheduler: &Scheduler,
     control: &ServerControl,
 ) -> io::Result<()> {
+    reply.close = true;
     let body = match request.body_text() {
         Ok(body) => body.trim(),
-        Err(err) => return write_json_response(stream, 400, &error_body(&err)),
+        Err(err) => return reply.json(400, &error_body(&err)),
     };
     let policy = if body.is_empty() || body == "{}" {
         ShutdownPolicy::Drain
     } else {
         let doc = match crate::json::parse(body) {
             Ok(doc) => doc,
-            Err(err) => {
-                return write_json_response(
-                    stream,
-                    400,
-                    &error_body(&format!("invalid JSON: {err}")),
-                )
-            }
+            Err(err) => return reply.json(400, &error_body(&format!("invalid JSON: {err}"))),
         };
         match doc.get("policy").and_then(Json::as_str) {
             Some("drain") => ShutdownPolicy::Drain,
             Some("cancel") => ShutdownPolicy::Cancel,
             _ => {
-                return write_json_response(
-                    stream,
+                return reply.json(
                     400,
                     &error_body("field `policy` must be \"drain\" or \"cancel\""),
                 )
@@ -437,20 +496,20 @@ fn admin_shutdown(
         ("policy".to_string(), Json::str(policy_str)),
     ])
     .encode();
-    let result = write_json_response(stream, 200, &body);
+    let result = reply.json(200, &body);
     control.request(policy);
     result
 }
 
-fn submit_job(stream: &mut TcpStream, request: &Request, scheduler: &Scheduler) -> io::Result<()> {
+fn submit_job(reply: &mut Reply, request: &Request, scheduler: &Scheduler) -> io::Result<()> {
     let body = match request.body_text() {
         Ok(body) if !body.trim().is_empty() => body,
         Ok(_) => "{}",
-        Err(err) => return write_json_response(stream, 400, &error_body(&err)),
+        Err(err) => return reply.json(400, &error_body(&err)),
     };
     let parsed = match job_request_from_body(body) {
         Ok(parsed) => parsed,
-        Err(err) => return write_json_response(stream, 400, &error_body(&err)),
+        Err(err) => return reply.json(400, &error_body(&err)),
     };
     match scheduler.submit_request(parsed.config, parsed.deadline_ms) {
         Ok(job) => {
@@ -459,7 +518,7 @@ fn submit_job(stream: &mut TcpStream, request: &Request, scheduler: &Scheduler) 
                 ("status".to_string(), Json::str(job.phase().as_str())),
             ])
             .encode();
-            write_json_response(stream, 202, &body)
+            reply.json(202, &body)
         }
         Err(err @ SubmitError::QueueFull { max_queue }) => {
             let body = Json::Obj(vec![
@@ -467,43 +526,32 @@ fn submit_job(stream: &mut TcpStream, request: &Request, scheduler: &Scheduler) 
                 ("max_queue".to_string(), Json::num(max_queue as f64)),
             ])
             .encode();
-            write_json_response_with(
-                stream,
-                429,
-                &[("retry-after", RETRY_AFTER_SECS.to_string())],
-                &body,
-            )
+            reply.json_with(429, &[RETRY_AFTER], &body)
         }
-        Err(err @ SubmitError::ShuttingDown) => write_json_response_with(
-            stream,
-            503,
-            &[("retry-after", RETRY_AFTER_SECS.to_string())],
-            &error_body(&err.to_string()),
-        ),
+        Err(err @ SubmitError::ShuttingDown) => {
+            reply.json_with(503, &[RETRY_AFTER], &error_body(&err.to_string()))
+        }
     }
 }
 
 fn with_job(
-    stream: &mut TcpStream,
+    reply: &mut Reply,
     scheduler: &Scheduler,
     id: &str,
-    then: impl FnOnce(&mut TcpStream, &Scheduler, &crate::job::Job) -> io::Result<()>,
+    then: impl FnOnce(&mut Reply, &Scheduler, &crate::job::Job) -> io::Result<()>,
 ) -> io::Result<()> {
     let Ok(id) = id.parse::<u64>() else {
-        return write_json_response(stream, 400, &error_body("job id must be an integer"));
+        return reply.json(400, &error_body("job id must be an integer"));
     };
     match scheduler.lookup(id) {
-        JobLookup::Found(job) => then(stream, scheduler, &job),
-        JobLookup::Expired => write_json_response(
-            stream,
+        JobLookup::Found(job) => then(reply, scheduler, &job),
+        JobLookup::Expired => reply.json(
             404,
             &error_body(&format!(
                 "job {id} expired: finished jobs are retained up to the \
                  configured bound, and this one has been evicted"
             )),
         ),
-        JobLookup::Unknown => {
-            write_json_response(stream, 404, &error_body(&format!("no job {id}")))
-        }
+        JobLookup::Unknown => reply.json(404, &error_body(&format!("no job {id}"))),
     }
 }

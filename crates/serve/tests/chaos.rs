@@ -522,3 +522,28 @@ fn torn_tail_plus_write_failures_leave_store_readable_and_server_serving() {
     let store = EstimateStore::open(&path).expect("store survives the chaos");
     assert_eq!(store.len(), persisted);
 }
+
+#[test]
+fn connection_drops_are_decided_per_request() {
+    use std::sync::atomic::Ordering;
+    // Drop the second request the server starts to read: it arrives on
+    // the client's reused connection.
+    let plan = FaultPlan::from_spec("seed=1;serve.conn.drop=drop@1").expect("spec");
+    let mut server = Server::start(ServeConfig {
+        executors: 0,
+        faults: Some(Arc::clone(&plan)),
+        ..ServeConfig::default()
+    })
+    .expect("start server");
+    let client = Client::new(server.addr());
+    for _ in 0..3 {
+        let (status, body) = client.get("/healthz").expect("healthz");
+        assert_eq!(status, 200, "{body}");
+    }
+    assert_eq!(plan.injected("serve.conn.drop"), 1);
+    // The client sent the dropped request again on a new connection.
+    let metrics = server.scheduler().metrics();
+    assert_eq!(metrics.http_connections.load(Ordering::Relaxed), 2);
+    assert_eq!(metrics.http_requests.load(Ordering::Relaxed), 3);
+    server.shutdown();
+}

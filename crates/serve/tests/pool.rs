@@ -1,6 +1,6 @@
 //! The connection-handler pool against a live server: handlers are
-//! reused, never more than `MAX_HANDLERS` are live, and a stopped
-//! server leaves none behind.
+//! reused, never more than `MAX_HANDLERS` are live, an idle connection
+//! gives its handler back, and a stopped server leaves none behind.
 //!
 //! These tests count the process's `serve-conn` threads through
 //! `/proc/self/task`, so they live in their own test binary, where no
@@ -8,7 +8,7 @@
 //! each other either.
 #![cfg(target_os = "linux")]
 
-use codesign_serve::http::{read_response, MAX_HANDLERS};
+use codesign_serve::http::{read_response, KEEP_ALIVE_IDLE, MAX_HANDLERS};
 use codesign_serve::job::ServeConfig;
 use codesign_serve::{Client, Server};
 use std::io::{BufRead, BufReader, Read, Write};
@@ -52,8 +52,8 @@ fn serial() -> MutexGuard<'static, ()> {
     guard
 }
 
-/// Connects and sends `GET path` in one write, failing rather than
-/// hanging if the server never answers.
+/// Connects and sends `GET path` with `connection: close` in one
+/// write, failing rather than hanging if the server never answers.
 fn send_get(addr: SocketAddr, path: &str) -> TcpStream {
     let mut stream = TcpStream::connect(addr).expect("connect");
     stream
@@ -74,11 +74,14 @@ fn sequential_requests_reuse_a_few_handlers() {
         ..ServeConfig::default()
     })
     .expect("start server");
-    let client = Client::new(server.addr());
     let mut most = 0;
+    // A fresh connection each time, so the pool, not the connection,
+    // is what gets reused.
     for _ in 0..200 {
-        let (status, body) = client.get("/healthz").expect("healthz");
-        assert_eq!(status, 200, "{body}");
+        let stream = send_get(server.addr(), "/healthz");
+        let answer = read_response(&mut BufReader::new(&stream)).expect("healthz");
+        assert_eq!(answer.status, 200);
+        assert!(answer.close);
         most = most.max(handler_threads());
         // A short pause, as a real client's think time gives: back to
         // back on a loaded host, a handler descheduled between answering
@@ -149,9 +152,9 @@ fn shutdown_releases_idle_handlers() {
     // Four connections at once start up to four handlers, which park
     // once their requests are answered.
     let open: Vec<TcpStream> = (0..4).map(|_| send_get(addr, "/healthz")).collect();
-    for mut stream in open {
-        let (status, _) = read_response(&mut stream).expect("healthz");
-        assert_eq!(status, 200);
+    for stream in open {
+        let answer = read_response(&mut BufReader::new(&stream)).expect("healthz");
+        assert_eq!(answer.status, 200);
     }
     assert!(handler_threads() > 0, "idle handlers park for their TTL");
 
@@ -161,4 +164,80 @@ fn shutdown_releases_idle_handlers() {
         0,
         "idle handlers outlived the server by a second"
     );
+}
+
+#[test]
+fn an_idle_connection_closes_silently_and_its_handler_serves_the_next() {
+    let _serial = serial();
+    let mut server = Server::start(ServeConfig {
+        executors: 0,
+        ..ServeConfig::default()
+    })
+    .expect("start server");
+    let addr = server.addr();
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("set read timeout");
+    let request = format!("GET /healthz HTTP/1.1\r\nhost: {addr}\r\n\r\n");
+    stream.write_all(request.as_bytes()).expect("send request");
+    let mut reader = BufReader::new(&stream);
+    let answer = read_response(&mut reader).expect("healthz");
+    assert_eq!(answer.status, 200);
+    assert!(!answer.close, "a keep-alive request keeps the connection");
+    let answered = Instant::now();
+    let mut rest = Vec::new();
+    reader.read_to_end(&mut rest).expect("the server closes");
+    let idled = answered.elapsed();
+    assert!(
+        rest.is_empty(),
+        "an idle close writes nothing: {}",
+        String::from_utf8_lossy(&rest)
+    );
+    assert!(
+        idled >= KEEP_ALIVE_IDLE - Duration::from_millis(50),
+        "closed after {idled:?}, before the idle limit"
+    );
+    assert!(
+        idled < KEEP_ALIVE_IDLE + Duration::from_secs(2),
+        "closed after {idled:?}"
+    );
+
+    // The handler went back to the pool: the next connection reuses it.
+    thread::sleep(Duration::from_millis(50));
+    let next = send_get(addr, "/healthz");
+    let answer = read_response(&mut BufReader::new(&next)).expect("healthz");
+    assert_eq!(answer.status, 200);
+    assert_eq!(
+        handler_threads(),
+        1,
+        "the next connection needed a new handler"
+    );
+    server.shutdown();
+}
+
+#[test]
+fn a_live_client_leaves_no_handler_after_shutdown() {
+    let _serial = serial();
+    let mut server = Server::start(ServeConfig {
+        executors: 0,
+        ..ServeConfig::default()
+    })
+    .expect("start server");
+    let client = Client::new(server.addr());
+    let (status, body) = client.get("/healthz").expect("healthz");
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(
+        handler_threads(),
+        1,
+        "the client's idle connection holds a handler"
+    );
+
+    server.shutdown();
+    assert_eq!(
+        handlers_after(Duration::from_secs(1)),
+        0,
+        "a handler outlived the server by a second"
+    );
+    drop(client);
 }

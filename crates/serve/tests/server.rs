@@ -244,12 +244,14 @@ fn client_errors_get_client_status_codes() {
 /// and close early, so write errors are expected) and reads the
 /// response status on this thread.
 fn raw_status(addr: std::net::SocketAddr, head: Vec<u8>) -> u16 {
-    let mut stream = std::net::TcpStream::connect(addr).expect("connect");
+    let stream = std::net::TcpStream::connect(addr).expect("connect");
     let mut writer = stream.try_clone().expect("clone stream");
     let sender = thread::spawn(move || {
         let _ = std::io::Write::write_all(&mut writer, &head);
     });
-    let (status, _) = codesign_serve::http::read_response(&mut stream).expect("response");
+    let status = codesign_serve::http::read_response(&mut std::io::BufReader::new(&stream))
+        .expect("response")
+        .status;
     let _ = stream.shutdown(std::net::Shutdown::Both);
     sender.join().expect("writer thread");
     status
@@ -318,9 +320,16 @@ fn a_stalled_request_gets_408_and_frees_its_handler() {
         .write_all(b"GET /healthz HTTP/1.1\r\nhost: stalled\r\n")
         .expect("send half a head");
     let sent = Instant::now();
-    let (status, body) = read_response(&mut stream).expect("an answer, not a hang");
+    let answer =
+        read_response(&mut std::io::BufReader::new(&stream)).expect("an answer, not a hang");
     let waited = sent.elapsed();
-    assert_eq!(status, 408, "{}", String::from_utf8_lossy(&body));
+    assert_eq!(
+        answer.status,
+        408,
+        "{}",
+        String::from_utf8_lossy(&answer.body)
+    );
+    assert!(answer.close, "a 408 ends the connection");
     assert!(
         waited >= REQUEST_TIMEOUT - Duration::from_millis(100),
         "answered after {waited:?}, before the client stalled long enough"
@@ -379,5 +388,134 @@ fn sharded_job_with_a_broken_worker_fails_gracefully() {
     // The executor survived: the server still answers.
     let (status, body) = client.get("/healthz").unwrap();
     assert_eq!(status, 200, "{body}");
+    server.shutdown();
+}
+
+/// Opens a raw connection that fails rather than hangs if the server
+/// never answers.
+fn raw_connection(addr: std::net::SocketAddr) -> std::net::TcpStream {
+    let stream = std::net::TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .expect("set read timeout");
+    stream
+}
+
+#[test]
+fn sequential_client_requests_share_one_connection() {
+    const REQUESTS: u64 = 20;
+    let mut server = Server::start(ServeConfig {
+        executors: 0,
+        ..ServeConfig::default()
+    })
+    .expect("start server");
+    let client = Client::new(server.addr());
+    for _ in 1..REQUESTS {
+        let (status, body) = client.get("/healthz").expect("healthz");
+        assert_eq!(status, 200, "{body}");
+    }
+    // The last request reads the counters, itself included.
+    let http = client.metrics().expect("metrics").get("http").cloned();
+    let http = http.expect("`/metrics` has an `http` section");
+    assert_eq!(http.get("connections").unwrap().as_uint(), Some(1));
+    assert_eq!(http.get("requests").unwrap().as_uint(), Some(REQUESTS));
+    server.shutdown();
+}
+
+#[test]
+fn two_requests_in_one_write_are_answered_in_order() {
+    use codesign_serve::http::read_response;
+    use std::io::{BufReader, Read, Write};
+    let mut server = Server::start(ServeConfig {
+        executors: 0,
+        ..ServeConfig::default()
+    })
+    .expect("start server");
+    let mut stream = raw_connection(server.addr());
+    stream
+        .write_all(
+            b"GET /nope HTTP/1.1\r\nhost: test\r\n\r\n\
+              GET /healthz HTTP/1.1\r\nhost: test\r\nconnection: close\r\n\r\n",
+        )
+        .expect("send both requests");
+    let mut reader = BufReader::new(&stream);
+    let first = read_response(&mut reader).expect("first answer");
+    assert_eq!(
+        first.status,
+        404,
+        "{}",
+        String::from_utf8_lossy(&first.body)
+    );
+    assert!(!first.close, "the first answer keeps the connection open");
+    let second = read_response(&mut reader).expect("second answer");
+    assert_eq!(
+        second.status,
+        200,
+        "{}",
+        String::from_utf8_lossy(&second.body)
+    );
+    assert!(second.close, "the second request asked to close");
+    let mut rest = Vec::new();
+    reader.read_to_end(&mut rest).expect("end of stream");
+    assert!(rest.is_empty(), "{}", String::from_utf8_lossy(&rest));
+    server.shutdown();
+}
+
+#[test]
+fn a_request_that_asks_to_close_gets_an_answer_then_eof() {
+    use codesign_serve::http::{read_response, KEEP_ALIVE_IDLE};
+    use std::io::{BufReader, Read, Write};
+    use std::time::Instant;
+    let mut server = Server::start(ServeConfig {
+        executors: 0,
+        ..ServeConfig::default()
+    })
+    .expect("start server");
+    for request in [
+        "GET /healthz HTTP/1.1\r\nhost: test\r\nconnection: close\r\n\r\n",
+        "GET /healthz HTTP/1.0\r\n\r\n",
+    ] {
+        let mut stream = raw_connection(server.addr());
+        stream.write_all(request.as_bytes()).expect("send request");
+        let mut reader = BufReader::new(&stream);
+        let answer = read_response(&mut reader).expect("an answer");
+        assert_eq!(answer.status, 200, "{request:?}");
+        assert!(answer.close, "{request:?}: no `connection: close`");
+        let answered = Instant::now();
+        let mut rest = Vec::new();
+        reader.read_to_end(&mut rest).expect("end of stream");
+        assert!(rest.is_empty(), "{}", String::from_utf8_lossy(&rest));
+        // Well before an idle connection would time out.
+        assert!(
+            answered.elapsed() < KEEP_ALIVE_IDLE / 2,
+            "{request:?}: closed after {:?}",
+            answered.elapsed()
+        );
+    }
+    server.shutdown();
+}
+
+#[test]
+fn a_client_that_pauses_past_the_idle_limit_retries_on_a_new_connection() {
+    use codesign_serve::http::KEEP_ALIVE_IDLE;
+    use std::sync::atomic::Ordering;
+    use std::time::Duration;
+    let mut server = Server::start(ServeConfig {
+        executors: 0,
+        ..ServeConfig::default()
+    })
+    .expect("start server");
+    let client = Client::new(server.addr());
+    let (status, _) = client.get("/healthz").expect("healthz");
+    assert_eq!(status, 200);
+    // The server closes the client's idle connection meanwhile.
+    thread::sleep(KEEP_ALIVE_IDLE + Duration::from_secs(1));
+    let (status, body) = client
+        .get("/healthz")
+        .expect("a closed idle connection is retried");
+    assert_eq!(status, 200, "{body}");
+    let metrics = server.scheduler().metrics();
+    assert_eq!(metrics.http_connections.load(Ordering::Relaxed), 2);
+    assert_eq!(metrics.http_requests.load(Ordering::Relaxed), 2);
     server.shutdown();
 }
